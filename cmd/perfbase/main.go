@@ -21,7 +21,6 @@
 //
 //	go run ./cmd/perfbase -write BENCH_9.json     # record a baseline
 //	go run ./cmd/perfbase -compare BENCH_9.json   # exit 1 on >10% regression
-//	go run ./cmd/perfbase -shards 4 -write ...    # also time the sharded kernel
 //
 // `make bench-baseline` and `make bench-compare` wrap the two modes and
 // pick the BENCH_<n>.json names automatically.
@@ -51,38 +50,27 @@ const regressionTolerance = 0.10
 // EventsPerSec are zero when the experiment performs no simulation
 // (the cost-model tables) or does not thread a metrics registry to its
 // machines (some ablations); ns/op and allocs/op are always measured.
-// The Sharded* fields record the same end-to-end timing with each
-// machine's event kernel split over -shards shards (zero when measured
-// serial-only): ShardedEventsPerSec divides the SAME reference event
-// count by the sharded wall time, so serial-vs-sharded throughput is
-// directly comparable per experiment.
+// Fields of older baselines that are no longer recorded (BENCH_9's
+// sharded_* timings) are ignored on read.
 type Entry struct {
 	NsPerOp      int64   `json:"ns_per_op"`
 	AllocsPerOp  int64   `json:"allocs_per_op"`
 	BytesPerOp   int64   `json:"bytes_per_op"`
 	SimEvents    uint64  `json:"sim_events"`
 	EventsPerSec float64 `json:"events_per_sec"`
-
-	ShardedNsPerOp      int64   `json:"sharded_ns_per_op,omitempty"`
-	ShardedEventsPerSec float64 `json:"sharded_events_per_sec,omitempty"`
 }
 
-// Baseline is the on-disk format (BENCH_<n>.json). Shards records the
-// shard count the Sharded* entry fields were measured at (0 or 1 means
-// serial-only). MaxProcs records GOMAXPROCS at measurement time — the
-// context a sharded/serial throughput ratio must be read in: on one
-// core the sharded kernel cannot beat serial, it can only bound its
-// coordination overhead.
+// Baseline is the on-disk format (BENCH_<n>.json). MaxProcs records
+// GOMAXPROCS at measurement time.
 type Baseline struct {
 	GoVersion  string           `json:"go_version"`
 	GOARCH     string           `json:"goarch"`
 	MaxProcs   int              `json:"maxprocs,omitempty"`
-	Shards     int              `json:"shards,omitempty"`
 	CreatedAt  string           `json:"created_at"`
 	Benchmarks map[string]Entry `json:"benchmarks"`
 }
 
-func measure(id string, shards int) (Entry, error) {
+func measure(id string) (Entry, error) {
 	e, err := experiments.Get(id)
 	if err != nil {
 		return Entry{}, err
@@ -114,24 +102,6 @@ func measure(id string, shards int) (Entry, error) {
 	if ns > 0 {
 		ent.EventsPerSec = float64(simEvents) / (float64(ns) / 1e9)
 	}
-
-	if shards > 1 {
-		// Same workload through the sharded kernel. The event count is the
-		// serial reference above — the modelled work is identical by the
-		// determinism guarantee — so the two EventsPerSec figures divide the
-		// same numerator and their ratio is a pure wall-time ratio.
-		sres := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := e.Run(experiments.Options{Quick: true, Shards: shards}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		ent.ShardedNsPerOp = sres.NsPerOp()
-		if ent.ShardedNsPerOp > 0 {
-			ent.ShardedEventsPerSec = float64(simEvents) / (float64(ent.ShardedNsPerOp) / 1e9)
-		}
-	}
 	return ent, nil
 }
 
@@ -139,7 +109,6 @@ func main() {
 	write := flag.String("write", "", "measure all experiments and write a baseline JSON file")
 	compare := flag.String("compare", "", "measure all experiments and compare against a baseline JSON file")
 	exps := flag.String("exp", "", "comma-separated experiment IDs (default: all)")
-	shards := flag.Int("shards", 1, "also time each experiment with the kernel split over N shards (1 = serial only)")
 	flag.Parse()
 	if (*write == "") == (*compare == "") {
 		fmt.Fprintln(os.Stderr, "perfbase: exactly one of -write or -compare is required")
@@ -154,20 +123,14 @@ func main() {
 
 	entries := make(map[string]Entry, len(ids))
 	for _, id := range ids {
-		ent, err := measure(id, *shards)
+		ent, err := measure(id)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "perfbase: %s: %v\n", id, err)
 			os.Exit(1)
 		}
 		entries[id] = ent
-		line := fmt.Sprintf("%-8s %12d ns/op %10d allocs/op %12d events %14.0f events/sec",
+		fmt.Printf("%-8s %12d ns/op %10d allocs/op %12d events %14.0f events/sec\n",
 			id, ent.NsPerOp, ent.AllocsPerOp, ent.SimEvents, ent.EventsPerSec)
-		if ent.ShardedNsPerOp > 0 {
-			line += fmt.Sprintf("  | shards=%d %14.0f events/sec (%.2fx)",
-				*shards, ent.ShardedEventsPerSec,
-				float64(ent.NsPerOp)/float64(ent.ShardedNsPerOp))
-		}
-		fmt.Println(line)
 	}
 
 	if *write != "" {
@@ -175,7 +138,6 @@ func main() {
 			GoVersion:  runtime.Version(),
 			GOARCH:     runtime.GOARCH,
 			MaxProcs:   runtime.GOMAXPROCS(0),
-			Shards:     *shards,
 			CreatedAt:  time.Now().UTC().Format(time.RFC3339),
 			Benchmarks: entries,
 		}

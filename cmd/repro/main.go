@@ -9,7 +9,6 @@
 //	repro -exp fig1a            # one experiment, full fidelity
 //	repro -exp all              # everything, experiments in parallel
 //	repro -exp all -jobs 1      # serial run (byte-identical stdout)
-//	repro -exp fig5 -shards 4   # parallel simulation kernel (byte-identical results)
 //	repro -exp fig3 -quick      # fast, reduced sweep
 //	repro -exp fig7 -csv        # emit CSV instead of aligned tables
 //	repro -exp all -out results # also write one .txt + .json per experiment
@@ -73,7 +72,6 @@ func run() int {
 		traceOut = flag.String("tracefile", "", "write a merged chrome://tracing (trace_event JSON) timeline of every simulated machine to this file")
 		faults   = flag.String("faults", "", "fault plan installed on every simulated fabric: a spec like 'loss:all:p=0.001;down:spine(0):at=10us:for=200us', or 'storm:<seed>' for a randomized storm (deterministic: same spec => byte-identical output at any -jobs)")
 		retries  = flag.Int("retries", 0, "re-run a sweep point that panics or times out up to N extra times before recording the failure")
-		shards   = flag.Int("shards", 1, "parallel simulation-kernel shards per machine (conservative-lookahead PDES); like -jobs an execution knob: results are byte-identical at any value. Clamped per machine to its node count; serial-only features (-metrics, -tracefile, RGET) force 1")
 		strict   = flag.Bool("chaos-strict", false, "with -faults: tolerate experiments deterministically killed by the fault plan (IB retry-budget exhaustion) but still exit nonzero on any other failure (panic, timeout, bug)")
 
 		campaignN      = flag.Int("campaign", 0, "run a behavioral-contract campaign over N generated scenarios instead of experiments (see internal/campaign); violations are auto-shrunk and reported")
@@ -124,7 +122,7 @@ func run() int {
 	defer stop()
 
 	opts := experiments.Options{Quick: *quick, Jobs: *jobs, Timeout: *timeout,
-		Faults: *faults, Retries: *retries, Shards: *shards, Ctx: ctx}
+		Faults: *faults, Retries: *retries, Ctx: ctx}
 	if *progress {
 		opts.Progress = os.Stderr
 	}
@@ -408,20 +406,12 @@ func writeArtifacts(dir string, e experiments.Experiment, oc *outcome,
 	if err := os.WriteFile(filepath.Join(dir, e.ID+ext), []byte(oc.body), 0o644); err != nil {
 		return err
 	}
-	// Serial is the zero value for the shards provenance field: only
-	// actually-sharded runs record it, keeping default artifacts (and
-	// the fix-verify byte-identity contract) schema-stable.
-	metaShards := 0
-	if opts.Shards > 1 {
-		metaShards = opts.Shards
-	}
 	a := &runner.Artifact{
 		Experiment: e.ID,
 		Title:      oc.res.Title,
 		Meta: runner.Meta{
 			Quick:     opts.Quick,
 			Jobs:      opts.Jobs,
-			Shards:    metaShards,
 			Seed:      experiments.CanonicalSeed,
 			TimeoutMS: float64(timeout) / float64(time.Millisecond),
 			WallMS:    float64(oc.wall) / float64(time.Millisecond),

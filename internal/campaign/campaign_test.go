@@ -46,9 +46,6 @@ func TestGenerateValid(t *testing.T) {
 				t.Fatalf("%s: fault spec %q: %v", sc.Name, sc.Faults, err)
 			}
 		}
-		if sc.Shards > sc.Nodes() {
-			t.Fatalf("%s: shards %d > nodes %d", sc.Name, sc.Shards, sc.Nodes())
-		}
 	}
 }
 
@@ -96,8 +93,8 @@ func TestCampaignCleanAndJobsInvariance(t *testing.T) {
 // deliberately smuggled invariant breach (undeclared total loss on link 0)
 // must be (1) found within a bounded budget, (2) shrunk to a reproducer
 // that still violates, (3) deterministic — its replay reports no BC-8
-// breach across the serial and sharded determinism legs — and (4)
-// replayable from the corpus file the campaign wrote.
+// breach across the determinism legs — and (4) replayable from the corpus
+// file the campaign wrote.
 func TestCampaignCanary(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{
@@ -134,8 +131,8 @@ func TestCampaignCanary(t *testing.T) {
 	if !hasContract(vs, "BC-5") {
 		t.Fatalf("shrunk reproducer no longer violates BC-5; got %+v", vs)
 	}
-	// (3) ...deterministically: the check's own serial×2 (and sharded×2
-	// when the scenario kept shards) legs found no divergence.
+	// (3) ...deterministically: the check's own two runs found no
+	// divergence.
 	if hasContract(vs, "BC-8") {
 		t.Fatal("reproducer replay is nondeterministic (BC-8)")
 	}
@@ -190,15 +187,59 @@ func TestReproducerIntegrity(t *testing.T) {
 	}
 }
 
+// legacyShardsReproducer was sealed by a build that still generated
+// sharded-kernel legs: its scenario records "shards": 2, which the
+// checksum covers. Scenarios no longer carry the field, so it decodes as
+// a different (serial) scenario and must be refused rather than replayed.
+const legacyShardsReproducer = `{
+  "contract": "BC-8",
+  "name": "determinism",
+  "detail": "two identical sharded runs (shards=2) diverged",
+  "scenario": {
+    "name": "legacy",
+    "network": "IB",
+    "ranks": 4,
+    "ppn": 1,
+    "radix": 4,
+    "workload": "pingpong",
+    "size": 512,
+    "iters": 3,
+    "shards": 2
+  },
+  "lineage": [
+    "ranks 8->4"
+  ],
+  "checksum": "a426267e1974d267ccfc4baed8604632ce3b7ba4cc41d3864073b478388756f9"
+}`
+
+func TestLegacyShardsReproducerRefused(t *testing.T) {
+	var r Reproducer
+	if err := json.Unmarshal([]byte(legacyShardsReproducer), &r); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Verify(); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("Verify on a shards=2 reproducer: err = %v, want checksum mismatch", err)
+	}
+	if _, err := Replay(&r, &Config{}); err == nil {
+		t.Fatal("Replay accepted a shards=2 reproducer")
+	}
+	// The same reproducer sealed without shards hashes exactly as it did
+	// before the field was removed: Canonical is byte-stable.
+	sealed := NewReproducer(r.Contract, r.Detail, r.Scenario, r.Lineage)
+	if want := "a751da219a87926a273964a1af50fd1c78b5b8a5895db7e65e2a90f34b77b636"; sealed.Checksum != want {
+		t.Fatalf("checksum of the shard-free scenario = %s, want the pre-removal %s", sealed.Checksum, want)
+	}
+}
+
 // TestShrink: greedy minimization strips everything not needed to keep the
-// violation alive — here the declared plan, the sharded legs, and most of
-// the workload, since the smuggled loss alone breaks BC-5.
+// violation alive — here the declared plan and most of the workload, since
+// the smuggled loss alone breaks BC-5.
 func TestShrink(t *testing.T) {
 	cfg := Config{Smuggle: canarySpec, ShrinkBudget: 32}
 	sc := Scenario{
 		Name: "shrink-seed", Network: "IB", Ranks: 8, PPN: 2, Radix: 4,
 		Workload: "stream", Size: 32 * units.KiB, Iters: 8,
-		Faults: "degrade:all:bw=0.5", Shards: 2,
+		Faults: "degrade:all:bw=0.5",
 	}
 	vs, _, err := check(sc, &cfg)
 	if err != nil {

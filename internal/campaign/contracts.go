@@ -27,9 +27,9 @@ package campaign
 //	BC-7  ib-exactly-once   an IB RC request delivers exactly once no
 //	                        matter how many retransmissions raced it
 //	BC-8  determinism       two identical runs produce identical digests
-//	                        (also per kernel: serial×2, sharded×2)
-//	BC-9  kernel-equiv      on a fault-free scenario the sharded kernel's
-//	                        digest equals the serial kernel's
+//	BC-9  (retired)         kernel-equiv checked the sharded kernel against
+//	                        the serial one; the sharded kernel is gone and
+//	                        the ID is not reused
 //	BC-10 jobs-invariance   the campaign report digest is identical at any
 //	                        worker count (checked by TestCampaignJobs)
 //	BC-11 artifact-integrity corpus reproducers and runner artifacts are
@@ -44,7 +44,7 @@ type Contract struct {
 
 // Catalog lists every behavioral contract the campaign checks, in ID
 // order. BC-10 and BC-11 are meta-contracts checked by the test suite
-// rather than per scenario.
+// rather than per scenario. BC-9 is retired (see above).
 var Catalog = []Contract{
 	{"BC-1", "progress"},
 	{"BC-2", "monotone-degrade"},
@@ -54,7 +54,6 @@ var Catalog = []Contract{
 	{"BC-6", "elan-order"},
 	{"BC-7", "ib-exactly-once"},
 	{"BC-8", "determinism"},
-	{"BC-9", "kernel-equiv"},
 	{"BC-10", "jobs-invariance"},
 	{"BC-11", "artifact-integrity"},
 }

@@ -4,9 +4,9 @@ package campaign
 // the invariant probes (fabric loss/retirement, IB RC delivery, Elan
 // sequencer order), runs the workload under an event budget, and reduces
 // the run to a deterministic digest plus probe observations. check() then
-// runs the variant legs a scenario needs — serial twice for determinism,
-// a clean baseline for monotonicity, sharded legs for kernel equivalence —
-// and evaluates every applicable behavioral contract.
+// runs the variant legs a scenario needs — twice for determinism, a clean
+// baseline for monotonicity — and evaluates every applicable behavioral
+// contract.
 
 import (
 	"crypto/sha256"
@@ -31,7 +31,7 @@ import (
 // exists to catch.
 const DefaultEventBudget = 50_000_000
 
-// observation is what the probes saw during one serial run. Violating
+// observation is what the probes saw during one run. Violating
 // observations are capped (the first violationCap per category) so a
 // pathological scenario cannot hold the whole loss history in memory.
 type observation struct {
@@ -63,14 +63,13 @@ func faultKilled(err error) bool {
 }
 
 // buildOpts translates a scenario into platform options.
-func buildOpts(sc *Scenario, faults string, shards int) platform.Options {
+func buildOpts(sc *Scenario, faults string) platform.Options {
 	opts := platform.Options{
 		Network:   sc.Net(),
 		Ranks:     sc.Ranks,
 		PPN:       sc.PPN,
 		Radix:     sc.Radix,
 		FaultSpec: faults,
-		Shards:    shards,
 		Label:     sc.Name,
 	}
 	if sc.EagerKiB > 0 {
@@ -143,12 +142,12 @@ func appFor(sc *Scenario) func(*mpi.Rank) {
 	}
 }
 
-// runSerial executes one probed serial leg. declared is the compiled
+// runLeg executes one probed leg. declared is the compiled
 // declared fault plan (nil for a clean scenario) that containment is
 // checked against — smuggled faults (the canary knob) are installed on
 // the machine but absent from declared, which is the point.
-func runSerial(sc *Scenario, effFaults string, declared *fault.Plan, budget uint64) runOut {
-	m, err := platform.New(buildOpts(sc, effFaults, 1))
+func runLeg(sc *Scenario, effFaults string, declared *fault.Plan, budget uint64) runOut {
+	m, err := platform.New(buildOpts(sc, effFaults))
 	if err != nil {
 		return runOut{runErr: err, digest: digestErr(err)}
 	}
@@ -217,34 +216,8 @@ func runSerial(sc *Scenario, effFaults string, declared *fault.Plan, budget uint
 	return out
 }
 
-// runSharded executes one unprobed sharded leg (probes are serial-only;
-// the sharded legs contribute digests, which need no probes).
-func runSharded(sc *Scenario, effFaults string, shards int, budget uint64) runOut {
-	m, err := platform.New(buildOpts(sc, effFaults, shards))
-	if err != nil {
-		return runOut{runErr: err, digest: digestErr(err)}
-	}
-	if m.Dom != nil {
-		for i := 0; i < m.Dom.NumShards(); i++ {
-			m.Dom.Shard(i).SetEventLimit(budget)
-		}
-	} else {
-		m.Eng.SetEventLimit(budget)
-	}
-	res, err := m.Run(appFor(sc))
-	out := runOut{runErr: err}
-	out.msgs, out.bytes = m.Fab.Stats()
-	if err != nil {
-		out.digest = digestErr(err)
-		return out
-	}
-	out.elapsed = res.Elapsed
-	out.digest = digestRun(res, m)
-	return out
-}
-
-// digestRun reduces a completed run to a canonical digest over the
-// shard-safe observables: completion times, fabric accounting, fault
+// digestRun reduces a completed run to a canonical digest over its
+// observables: completion times, fabric accounting, fault
 // recovery counters. Event counts stay out (coalescing on/off changes
 // them without changing behaviour); wall-clock never appears anywhere.
 func digestRun(res *mpi.Result, m *platform.Machine) string {
@@ -303,8 +276,8 @@ func check(sc Scenario, cfg *Config) ([]Violation, string, error) {
 		}
 	}
 
-	a := runSerial(&sc, effFaults, declared, budget)
-	b := runSerial(&sc, effFaults, declared, budget)
+	a := runLeg(&sc, effFaults, declared, budget)
+	b := runLeg(&sc, effFaults, declared, budget)
 
 	var v []Violation
 	// BC-1 progress: only fault-kill (IB retry exhaustion under a fault
@@ -324,7 +297,7 @@ func check(sc Scenario, cfg *Config) ([]Violation, string, error) {
 		if applies {
 			base := sc
 			base.Faults = ""
-			clean := runSerial(&base, cfg.Smuggle, nil, budget)
+			clean := runLeg(&base, cfg.Smuggle, nil, budget)
 			if clean.runErr == nil && a.elapsed < clean.elapsed {
 				v = append(v, violation("BC-2", sc, fmt.Sprintf(
 					"faulty run finished at %dps, before its clean baseline at %dps",
@@ -358,29 +331,11 @@ func check(sc Scenario, cfg *Config) ([]Violation, string, error) {
 	if len(a.obs.onceViol) > 0 {
 		v = append(v, violation("BC-7", sc, strings.Join(a.obs.onceViol, "; ")))
 	}
-	// BC-8 determinism: identical serial runs, identical digests (error
-	// digests included — a failed run must fail identically).
+	// BC-8 determinism: identical runs, identical digests (error digests
+	// included — a failed run must fail identically).
 	if a.digest != b.digest {
 		v = append(v, violation("BC-8", sc, fmt.Sprintf(
-			"two identical serial runs diverged: %.12s != %.12s", a.digest, b.digest)))
-	}
-	// Sharded legs.
-	if sc.Shards > 1 {
-		s1 := runSharded(&sc, effFaults, sc.Shards, budget)
-		s2 := runSharded(&sc, effFaults, sc.Shards, budget)
-		if s1.digest != s2.digest {
-			v = append(v, violation("BC-8", sc, fmt.Sprintf(
-				"two identical sharded runs (shards=%d) diverged: %.12s != %.12s",
-				sc.Shards, s1.digest, s2.digest)))
-		}
-		// BC-9 kernel equivalence holds on fault-free fabrics (DESIGN.md
-		// §12.4 documents the loss-storm tie-order exception, so faulty
-		// scenarios assert per-kernel determinism only).
-		if effFaults == "" && a.runErr == nil && s1.runErr == nil && a.digest != s1.digest {
-			v = append(v, violation("BC-9", sc, fmt.Sprintf(
-				"sharded (shards=%d) digest %.12s != serial digest %.12s",
-				sc.Shards, s1.digest, a.digest)))
-		}
+			"two identical runs diverged: %.12s != %.12s", a.digest, b.digest)))
 	}
 	return v, a.digest, nil
 }

@@ -5,10 +5,9 @@ package campaign
 // turns on is explored — interconnect, node count and switch radix
 // (single-leaf vs multi-spine Clos), processes per node, message size
 // across the eager/rendezvous boundary, protocol threshold overrides —
-// crossed with fault plans drawn from the internal/fault grammar and with
-// the execution knobs (sharded kernel legs) that must never change
-// results. Scenarios are pure data: canonically encodable, comparable,
-// and replayable byte-for-byte from a corpus file.
+// crossed with fault plans drawn from the internal/fault grammar.
+// Scenarios are pure data: canonically encodable, comparable, and
+// replayable byte-for-byte from a corpus file.
 
 import (
 	"fmt"
@@ -23,9 +22,8 @@ import (
 )
 
 // Scenario is one generated configuration: a machine shape, a workload,
-// a fault plan, and the execution knobs to cross-check. The zero Radix
-// keeps the platform default (single-leaf at small node counts); Shards
-// <= 1 means no sharded cross-check leg.
+// and a fault plan. The zero Radix keeps the platform default
+// (single-leaf at small node counts).
 type Scenario struct {
 	Name     string      `json:"name"`
 	Network  string      `json:"network"` // "IB" | "Elan4" (platform.Network.Short)
@@ -41,8 +39,6 @@ type Scenario struct {
 	// Faults is an explicit clause spec (never "storm:", so specs compose);
 	// empty means a clean fabric.
 	Faults string `json:"faults,omitempty"`
-	// Shards, when > 1, adds sharded-kernel legs to the contract check.
-	Shards int `json:"shards,omitempty"`
 }
 
 // Net resolves the scenario's interconnect.
@@ -84,10 +80,15 @@ func (s *Scenario) Clos() (*topology.Clos, error) {
 // determines the scenario's behaviour (the Name is a label, not
 // identity). Reproducer checksums and campaign report digests are
 // derived from it.
+//
+// The literal "&shards=0" segment is a fossil of the removed sharded-kernel
+// scenario field. It stays so that the encoding — and with it the checksum
+// of every reproducer sealed before the removal — is unchanged; a
+// reproducer that recorded a nonzero shard count no longer verifies.
 func (s *Scenario) Canonical() string {
-	return fmt.Sprintf("net=%s&ranks=%d&ppn=%d&radix=%d&workload=%s&size=%d&iters=%d&eager=%d&shards=%d&faults=%s",
+	return fmt.Sprintf("net=%s&ranks=%d&ppn=%d&radix=%d&workload=%s&size=%d&iters=%d&eager=%d&shards=0&faults=%s",
 		s.Network, s.Ranks, s.PPN, s.Radix, s.Workload, s.Size, s.Iters,
-		s.EagerKiB, s.Shards, url.QueryEscape(s.Faults))
+		s.EagerKiB, url.QueryEscape(s.Faults))
 }
 
 // shapes are the machine geometries the generator samples: the paper's
@@ -138,13 +139,6 @@ func Generate(seed uint64, count int) []Scenario {
 		// against the concrete topology.
 		if r.Intn(4) != 0 {
 			sc.Faults = randomFaults(r, &sc)
-		}
-		// Half the multi-node scenarios add sharded-kernel legs.
-		if nodes := sc.Nodes(); nodes >= 2 && r.Intn(2) == 0 {
-			sc.Shards = 2 + r.Intn(3)
-			if sc.Shards > nodes {
-				sc.Shards = nodes
-			}
 		}
 		out = append(out, sc)
 	}

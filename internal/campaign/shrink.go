@@ -69,8 +69,8 @@ func hasContract(vs []Violation, contract string) bool {
 
 // candidates generates the simplifying transformations applicable to sc,
 // most aggressive first. Every candidate strictly reduces some bounded
-// quantity (fault events, window span, ranks, ppn, size, iters, shards,
-// eager override), so acceptance cannot loop.
+// quantity (fault events, window span, ranks, ppn, size, iters, eager
+// override), so acceptance cannot loop.
 func candidates(sc Scenario) []candidate {
 	var out []candidate
 	if sc.Faults != "" {
@@ -87,11 +87,6 @@ func candidates(sc Scenario) []candidate {
 		if next, ok := reshape(sc, sc.Ranks, 1); ok {
 			out = append(out, candidate{fmt.Sprintf("ppn %d->1", sc.PPN), next})
 		}
-	}
-	if sc.Shards > 1 {
-		next := sc
-		next.Shards = 0
-		out = append(out, candidate{fmt.Sprintf("drop sharded legs (shards %d->0)", sc.Shards), next})
 	}
 	if sc.Size > 0 {
 		next := sc
@@ -162,12 +157,6 @@ func reshape(sc Scenario, ranks, ppn int) (Scenario, bool) {
 	}
 	next := sc
 	next.Ranks, next.PPN = ranks, ppn
-	if next.Shards > next.Nodes() {
-		next.Shards = next.Nodes()
-	}
-	if next.Shards == 1 {
-		next.Shards = 0
-	}
 	if sc.Faults == "" {
 		return next, true
 	}

@@ -128,7 +128,7 @@ func runXEager(o Options) (*Result, error) {
 		th := th
 		m, err := platform.New(platform.Options{
 			Network: platform.InfiniBand4X, Ranks: 2, PPN: 1,
-			Metrics: o.Metrics, FaultSpec: o.Faults, Shards: o.Shards,
+			Metrics: o.Metrics, FaultSpec: o.Faults,
 			TuneIB: func(_ *ib.Params, tp *mvib.Params) {
 				tp.RDMAEagerMax = th
 				if tp.EagerThreshold < th {
@@ -188,7 +188,7 @@ func runXNoise(o Options) (*Result, error) {
 	run := func(nodes int, noisy bool) (float64, error) {
 		m, err := platform.New(platform.Options{
 			Network: platform.QuadricsElan4, Ranks: nodes, PPN: 1,
-			Metrics: o.Metrics, FaultSpec: o.Faults, Shards: o.Shards,
+			Metrics: o.Metrics, FaultSpec: o.Faults,
 			TuneMPI: func(cfg *mpi.Config) {
 				if noisy {
 					cfg.Node.NoiseFraction = 0.02

@@ -226,7 +226,7 @@ func faultStreaming(o Options, net platform.Network, spec string,
 	size units.Bytes, iters int) (float64, *platform.Machine, error) {
 	const window = 8
 	m, err := platform.New(platform.Options{Network: net, Ranks: 2, PPN: 1,
-		Metrics: o.Metrics, FaultSpec: spec, Shards: o.Shards,
+		Metrics: o.Metrics, FaultSpec: spec,
 		Label: fmt.Sprintf("xfault stream %s", net.Short())})
 	if err != nil {
 		return 0, nil, err

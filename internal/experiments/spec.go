@@ -79,9 +79,7 @@ func (s Spec) Key(codeVersion string) string {
 
 // Run executes the spec's experiment with the spec's result-determining
 // fields overriding the corresponding options; execution knobs (Jobs,
-// Shards, Timeout, Retries, Ctx, observers) are taken from o as given —
-// like Jobs, the shard count never appears in the canonical key because
-// results are byte-identical at any value.
+// Timeout, Retries, Ctx, observers) are taken from o as given.
 func (s Spec) Run(o Options) (*Result, error) {
 	e, err := Get(s.Experiment)
 	if err != nil {

@@ -280,7 +280,7 @@ func (w *window) complete() {
 	done := ms.done
 	ms.done = nil
 	ms.remaining = 0
-	f.locals[0].freeMsgs = append(f.locals[0].freeMsgs, ms)
+	f.freeMsgs = append(f.freeMsgs, ms)
 	f.putWindow(w)
 	done.Fire()
 }
@@ -363,7 +363,7 @@ func (w *window) expand() {
 				a = w.arrFull(k, i)
 			}
 			if a >= now {
-				cs := f.getChunk(f.eng, ms, i, sz, a)
+				cs := f.getChunk(ms, i, sz, a)
 				f.eng.At(a, cs.stepFn)
 				resumed = true
 				break
@@ -379,7 +379,7 @@ func (w *window) expand() {
 			out = w.baseC[w.m-1].Add(units.Duration(k)*w.bneck[w.m-1] + w.lat[w.m-1])
 		}
 		if out >= now {
-			cs := f.getChunk(f.eng, ms, w.m-1, sz, out)
+			cs := f.getChunk(ms, w.m-1, sz, out)
 			f.eng.At(out, cs.deliverFn)
 			continue
 		}

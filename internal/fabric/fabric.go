@@ -104,20 +104,22 @@ type Fabric struct {
 	links  []*sim.Server // indexed by topology.LinkID
 	hosts  []*sim.Server // per-node half-duplex PCI bus; nil if disabled
 
-	// Sharded-mode wiring (see shard.go). All nil on a serial fabric.
-	// Every stage server is owned by exactly one shard engine; chunk hops
-	// that cross an ownership boundary travel through sim.Post instead of
-	// a local At, and message/fault bookkeeping lives in per-shard locals
-	// so no two shards ever write the same word.
-	dom     *sim.Sharded
-	shardOf []int         // owner shard per node
-	nodeEng []*sim.Engine // owner engine per node
-	linkEng []*sim.Engine // owner engine per link
+	// Totals since construction, reported by Stats and FaultStats.
+	messages uint64
+	bytes    units.Bytes
 
-	// locals holds the per-shard mutable state: counters, free pools, and
-	// the serial fault array. A serial fabric has exactly one entry, so
-	// the serial code path is the sharded one with a constant index.
-	locals []shardLocal
+	chunksLost      uint64
+	chunksRetried   uint64
+	chunksRerouted  uint64
+	messagesDropped uint64
+	faultWindows    uint64
+
+	// Free lists for the per-message and per-chunk scheduling state, so
+	// steady-state Send/chunk traffic allocates nothing. Pool contents
+	// never escape the fabric, so reuse cannot leak state across messages
+	// (every field is reset on get).
+	freeChunks []*chunkState
+	freeMsgs   []*msgState
 
 	// coalesce enables the idle-path fast path: an uncontended message
 	// is delivered by one analytically-scheduled event instead of
@@ -135,22 +137,20 @@ type Fabric struct {
 	// windows holds the active coalescing windows in creation order.
 	windows []*window
 
-	// freeWins pools coalescing windows (serial-only machinery).
+	// freeWins pools coalescing windows.
 	freeWins []*window
 
 	// Fault injection (see fault.go). faultsOn is set by EnableFaults;
 	// every hot-path fault check is gated on it so clean runs pay one
-	// predictable branch. Serial fabrics keep mutable per-link fault
-	// state in locals[0].faults, driven by SetLinkFault events; sharded
-	// fabrics use the immutable faultTimeline with per-shard cursors
-	// (see fault.go).
-	faultsOn      bool
-	lossRNG       []*rng.Source // per-link loss streams, seeded from faultSeed
-	faultSeed     uint64
-	faultTimeline [][]FaultStep // per link, time-sorted; sharded mode only
+	// predictable branch. faults holds the per-link fault state, driven
+	// by SetLinkFault events.
+	faultsOn  bool
+	faults    []LinkFault
+	lossRNG   []*rng.Source // per-link loss streams, seeded from faultSeed
+	faultSeed uint64
 
 	// probe, when non-nil, receives invariant observations (see probe.go).
-	// Serial-only; installing one pins coalescing off.
+	// Installing one pins coalescing off.
 	probe *Probe
 
 	// Observability (nil-safe no-ops when the engine has no registry).
@@ -177,7 +177,6 @@ func New(eng *sim.Engine, nodes, radix int, params Params) (*Fabric, error) {
 		return nil, err
 	}
 	f := &Fabric{eng: eng, clos: clos, params: params}
-	f.locals = make([]shardLocal, 1)
 	f.links = make([]*sim.Server, clos.NumLinks())
 	for i := range f.links {
 		f.links[i] = eng.NewServer(fmt.Sprintf("link%d", i))
@@ -223,11 +222,7 @@ func (f *Fabric) Params() Params { return f.params }
 
 // Stats reports totals since construction.
 func (f *Fabric) Stats() (messages uint64, bytes units.Bytes) {
-	for i := range f.locals {
-		messages += f.locals[i].messages
-		bytes += f.locals[i].bytes
-	}
-	return messages, bytes
+	return f.messages, f.bytes
 }
 
 // LinkUtilization reports the utilization of the given link.
@@ -401,24 +396,12 @@ type msgState struct {
 	done      *sim.Signal
 	// aborted marks a message killed by an unrecovered fault (see
 	// dropMessage): its remaining chunks still drain through the fabric,
-	// but done never fires. Under sharding it is owned by the destination
-	// shard (set only from posted abortRetire events).
+	// but done never fires.
 	aborted bool
-
-	// Sharded-mode fields. eng is the destination node's engine — the
-	// shard where deliver events run, done fires, and the state retires.
-	// finalPending counts chunks that have not yet completed their
-	// final-stage serve; it hits zero only if no chunk was dropped, and
-	// the step event that zeroes it posts the notify callbacks at the
-	// just-computed (maximal, by final-stage FIFO order) delivery time.
-	eng          *sim.Engine
-	shard        int
-	finalPending int
-	notify       []deliveryNote
 }
 
-func (f *Fabric) getMsg(sh int) *msgState {
-	pool := &f.locals[sh].freeMsgs
+func (f *Fabric) getMsg() *msgState {
+	pool := &f.freeMsgs
 	if n := len(*pool); n > 0 {
 		ms := (*pool)[n-1]
 		(*pool)[n-1] = nil
@@ -436,17 +419,13 @@ func (ms *msgState) chunkDelivered() {
 		return
 	}
 	f := ms.f
-	if f.dom == nil {
-		f.releaseRefs(&ms.pt) // refcounts feed coalescing windows: serial only
-	}
+	f.releaseRefs(&ms.pt)
 	done := ms.done
 	aborted := ms.aborted
 	size := ms.size
 	ms.done = nil
 	ms.aborted = false
-	ms.eng = nil
-	ms.notify = ms.notify[:0]
-	f.locals[ms.shard].freeMsgs = append(f.locals[ms.shard].freeMsgs, ms)
+	f.freeMsgs = append(f.freeMsgs, ms)
 	if f.probe != nil {
 		f.probeRetired(size, aborted, f.eng.Now())
 	}
@@ -466,10 +445,6 @@ type chunkState struct {
 	i     int
 	size  units.Bytes
 	ready units.Time
-	// eng is the engine owning the chunk's current stage. On a serial
-	// fabric it is always the fabric engine; under sharding it advances
-	// with the chunk, and the step event always runs on it.
-	eng *sim.Engine
 	// Adaptive per-chunk spine override, chosen when the chunk reaches
 	// the uplink stage (nil until then; path stages hold the spine-0
 	// placeholder).
@@ -479,8 +454,8 @@ type chunkState struct {
 	deliverFn        func()
 }
 
-func (f *Fabric) getChunk(eng *sim.Engine, ms *msgState, i int, size units.Bytes, ready units.Time) *chunkState {
-	pool := &f.locals[eng.ShardID()].freeChunks
+func (f *Fabric) getChunk(ms *msgState, i int, size units.Bytes, ready units.Time) *chunkState {
+	pool := &f.freeChunks
 	var cs *chunkState
 	if n := len(*pool); n > 0 {
 		cs = (*pool)[n-1]
@@ -492,17 +467,15 @@ func (f *Fabric) getChunk(eng *sim.Engine, ms *msgState, i int, size units.Bytes
 		cs.deliverFn = cs.deliver
 	}
 	cs.ms, cs.i, cs.size, cs.ready = ms, i, size, ready
-	cs.eng = eng
 	cs.upSrv, cs.downSrv = nil, nil
 	return cs
 }
 
-// putChunk retires cs into the pool of the shard it currently runs on.
+// putChunk retires cs into the chunk pool.
 func (f *Fabric) putChunk(cs *chunkState) {
-	pool := &f.locals[cs.eng.ShardID()].freeChunks
 	cs.ms = nil
 	cs.upSrv, cs.downSrv = nil, nil
-	*pool = append(*pool, cs)
+	f.freeChunks = append(f.freeChunks, cs)
 }
 
 // step is one hop of the lazy cut-through pipeline: the chunk claims the
@@ -513,11 +486,10 @@ func (cs *chunkState) step() {
 	f := cs.f
 	pt := &cs.ms.pt
 	i := cs.i
-	local := &f.locals[cs.eng.ShardID()]
 	if f.params.Adaptive && i == pt.upIdx && cs.upSrv == nil {
-		spine, rerouted := f.chooseSpine(cs.eng, pt.srcLeaf, pt.dstLeaf)
+		spine, rerouted := f.chooseSpine(pt.srcLeaf, pt.dstLeaf)
 		if rerouted {
-			local.chunksRerouted++
+			f.chunksRerouted++
 			f.mRerouted.Inc()
 		}
 		cs.upLink = f.clos.Up(pt.srcLeaf, spine)
@@ -534,23 +506,23 @@ func (cs *chunkState) step() {
 			srv, link = cs.downSrv, cs.downLink
 		}
 	}
-	lf := f.linkFault(cs.eng, link)
+	lf := f.linkFault(link)
 	if lf != nil && lf.Down {
 		if f.params.HWRetry {
 			// Link-level stall: retry every HWRetryDelay until the link
 			// recovers — or, at the uplink stage, until the next attempt's
 			// adaptive choice finds a live spine.
-			local.chunksRetried++
+			f.chunksRetried++
 			f.mRetried.Inc()
 			f.probeStalled(link, cs.ready)
 			if i == pt.upIdx {
 				cs.upSrv, cs.downSrv = nil, nil
 			}
 			cs.ready = cs.ready.Add(f.params.HWRetryDelay)
-			cs.eng.At(cs.ready, cs.stepFn)
+			f.eng.At(cs.ready, cs.stepFn)
 			return
 		}
-		local.chunksLost++
+		f.chunksLost++
 		f.mLost.Inc()
 		f.probeLost(link, cs.ready)
 		f.dropMessage(cs)
@@ -578,17 +550,17 @@ func (cs *chunkState) step() {
 		// corrupt. Hardware-retry fabrics resend it on this hop after the
 		// retry delay; otherwise the loss kills the message and recovery
 		// is the transport's business.
-		local.chunksLost++
+		f.chunksLost++
 		f.mLost.Inc()
 		f.probeLost(link, cs.ready)
 		if f.params.HWRetry {
-			local.chunksRetried++
+			f.chunksRetried++
 			f.mRetried.Inc()
 			if i == pt.upIdx {
 				cs.upSrv, cs.downSrv = nil, nil
 			}
 			cs.ready = out.Add(f.params.HWRetryDelay)
-			cs.eng.At(cs.ready, cs.stepFn)
+			f.eng.At(cs.ready, cs.stepFn)
 			return
 		}
 		f.dropMessage(cs)
@@ -597,32 +569,10 @@ func (cs *chunkState) step() {
 	if i < pt.n-1 {
 		cs.i = i + 1
 		cs.ready = out
-		next := f.stageEng(pt, i+1)
-		if next != cs.eng {
-			// Ownership boundary: hand the chunk to the next stage's shard.
-			// The arrival time sits one serve + latency past this event, so
-			// the post satisfies the domain lookahead by construction.
-			src := cs.eng
-			cs.eng = next
-			src.Post(next, out, cs.stepFn)
-			return
-		}
-		cs.eng.At(out, cs.stepFn)
+		f.eng.At(out, cs.stepFn)
 		return
 	}
-	if cs.ms.finalPending > 0 {
-		// Sharded mode: the last chunk through the final stage (FIFO, so
-		// its out is the message's delivery time) posts the cross-shard
-		// delivery notifications. A dropped chunk never reaches here, so
-		// finalPending only zeroes for fully-delivered messages.
-		cs.ms.finalPending--
-		if cs.ms.finalPending == 0 {
-			for _, nt := range cs.ms.notify {
-				cs.eng.Post(nt.eng, out, nt.fn)
-			}
-		}
-	}
-	cs.eng.At(out, cs.deliverFn)
+	f.eng.At(out, cs.deliverFn)
 }
 
 // deliver retires the chunk at its final-delivery time.
@@ -656,17 +606,11 @@ func (f *Fabric) Send(src, dst int, size units.Bytes) *sim.Signal {
 	if size < 0 {
 		panic("fabric: negative message size")
 	}
-	srcEng, dstEng := f.NodeEngine(src), f.NodeEngine(dst)
-	local := &f.locals[srcEng.ShardID()]
-	local.messages++
-	local.bytes += size
+	f.messages++
+	f.bytes += size
 	f.mMsgs.Inc()
 	f.mBytes.Add(uint64(size))
-	// The done signal lives on the destination shard: it fires at the
-	// deliver event, which always runs there, and its OnFire callbacks
-	// are destination-side work. Source-side completion work registers
-	// through NotifyDelivered instead.
-	done := dstEng.NewSignal(msgName(src, dst, size))
+	done := f.eng.NewSignal(msgName(src, dst, size))
 	if f.track != nil {
 		begin := f.eng.Now()
 		name := fmt.Sprintf("msg->%d %v", dst, size)
@@ -675,46 +619,37 @@ func (f *Fabric) Send(src, dst int, size units.Bytes) *sim.Signal {
 		})
 	}
 
-	ms := f.getMsg(srcEng.ShardID())
+	ms := f.getMsg()
 	ms.done = done
 	ms.aborted = false
-	ms.eng = dstEng
-	ms.shard = dstEng.ShardID()
 	f.fillPath(&ms.pt, src, dst)
 	n, last := f.chunkPlan(size)
 	f.mChunks.Add(uint64(n))
 	ms.remaining = n
 	ms.size = size
-	local.lastMsg, local.lastDone = ms, done
 
-	if f.dom != nil {
-		ms.finalPending = n
-		ms.notify = ms.notify[:0]
-	} else {
-		// Any window sharing a server with this message must materialize
-		// before the newcomer is scheduled, so its chunks queue behind
-		// exactly the traffic the expanded model would have posted. The
-		// refcounts feeding window eligibility are serial-only state.
-		f.expandTouching(&ms.pt)
-		f.addRefs(&ms.pt)
+	// Any window sharing a server with this message must materialize
+	// before the newcomer is scheduled, so its chunks queue behind
+	// exactly the traffic the expanded model would have posted.
+	f.expandTouching(&ms.pt)
+	f.addRefs(&ms.pt)
 
-		if f.coalesce && f.linkBytes == nil && f.track == nil &&
-			(!f.params.Adaptive || ms.pt.upIdx < 0) &&
-			!f.pathFaulted(&ms.pt) &&
-			f.tryCoalesce(ms, n, last) {
-			return done
-		}
+	if f.coalesce && f.linkBytes == nil && f.track == nil &&
+		(!f.params.Adaptive || ms.pt.upIdx < 0) &&
+		!f.pathFaulted(&ms.pt) &&
+		f.tryCoalesce(ms, n, last) {
+		return done
 	}
 
-	now := srcEng.Now()
+	now := f.eng.Now()
 	mtu := f.params.MTU
 	for k := 0; k < n; k++ {
 		sz := mtu
 		if k == n-1 {
 			sz = last
 		}
-		cs := f.getChunk(srcEng, ms, 0, sz, now)
-		srcEng.At(now, cs.stepFn)
+		cs := f.getChunk(ms, 0, sz, now)
+		f.eng.At(now, cs.stepFn)
 	}
 	return done
 }

@@ -34,7 +34,6 @@ package fabric
 
 import (
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/units"
 )
@@ -67,9 +66,7 @@ func (lf *LinkFault) Active() bool {
 // Must be called before the run starts (fault plans call it at install).
 func (f *Fabric) EnableFaults(seed uint64) {
 	n := f.clos.NumLinks()
-	if f.dom == nil {
-		f.locals[0].faults = make([]LinkFault, n)
-	}
+	f.faults = make([]LinkFault, n)
 	f.lossRNG = make([]*rng.Source, n)
 	for i := range f.lossRNG {
 		// Decorrelate per-link streams: same mixing idea as splitmix64's
@@ -94,12 +91,6 @@ func (f *Fabric) SetLinkFault(id topology.LinkID, lf LinkFault) {
 	if !f.faultsOn {
 		panic("fabric: SetLinkFault before EnableFaults")
 	}
-	if f.dom != nil {
-		// Sharded fault state is the immutable timeline every shard reads
-		// through its own cursor; mutating it mid-run from one shard would
-		// race the others. Fault plans install timelines instead.
-		panic("fabric: SetLinkFault on a sharded fabric (install a fault plan timeline)")
-	}
 	for i := 0; i < len(f.windows); {
 		w := f.windows[i]
 		if w.usesLink(id) {
@@ -108,9 +99,9 @@ func (f *Fabric) SetLinkFault(id topology.LinkID, lf LinkFault) {
 		}
 		i++
 	}
-	f.locals[0].faults[id] = lf
+	f.faults[id] = lf
 	if lf.Active() {
-		f.locals[0].faultWindows++
+		f.faultWindows++
 		f.mFaultWin.Inc()
 	}
 }
@@ -126,13 +117,7 @@ func (f *Fabric) LinkFaultState(id topology.LinkID) LinkFault {
 	if !f.faultsOn {
 		return LinkFault{}
 	}
-	if f.dom != nil {
-		if lf := f.faultAt(0, id, f.dom.Shard(0).Now()); lf != nil {
-			return *lf
-		}
-		return LinkFault{}
-	}
-	return f.locals[0].faults[id]
+	return f.faults[id]
 }
 
 // FaultStats reports fault-injection totals since construction.
@@ -154,18 +139,15 @@ type FaultStats struct {
 	FaultWindows uint64
 }
 
-// FaultStats returns the fault-injection totals, summed across shards.
+// FaultStats returns the fault-injection totals.
 func (f *Fabric) FaultStats() FaultStats {
-	var fs FaultStats
-	for i := range f.locals {
-		l := &f.locals[i]
-		fs.ChunksLost += l.chunksLost
-		fs.ChunksRetried += l.chunksRetried
-		fs.ChunksRerouted += l.chunksRerouted
-		fs.MessagesDropped += l.messagesDropped
-		fs.FaultWindows += l.faultWindows
+	return FaultStats{
+		ChunksLost:      f.chunksLost,
+		ChunksRetried:   f.chunksRetried,
+		ChunksRerouted:  f.chunksRerouted,
+		MessagesDropped: f.messagesDropped,
+		FaultWindows:    f.faultWindows,
 	}
-	return fs
 }
 
 // pathFaulted reports whether any link of the path currently carries an
@@ -178,96 +160,24 @@ func (f *Fabric) pathFaulted(pt *path) bool {
 	if !f.faultsOn {
 		return false
 	}
-	// Serial-only caller (the coalescing gate), so locals[0] is the state.
 	for i := 0; i < pt.n; i++ {
-		if l := pt.stages[i].link; l >= 0 && f.locals[0].faults[l].Active() {
+		if l := pt.stages[i].link; l >= 0 && f.faults[l].Active() {
 			return true
 		}
 	}
 	return false
 }
 
-// linkFault resolves the fault condition governing link at eng's current
-// time, or nil when the link is healthy (or not a fabric link). eng must
-// be the engine executing the lookup — its shard's timeline cursor is
-// advanced, which is safe exactly because each shard's clock is monotonic.
-func (f *Fabric) linkFault(eng *sim.Engine, link topology.LinkID) *LinkFault {
+// linkFault resolves the fault condition currently governing link, or nil
+// when the link is healthy (or not a fabric link).
+func (f *Fabric) linkFault(link topology.LinkID) *LinkFault {
 	if !f.faultsOn || link < 0 {
 		return nil
 	}
-	if f.dom == nil {
-		if x := &f.locals[0].faults[link]; x.Active() {
-			return x
-		}
-		return nil
-	}
-	return f.faultAt(eng.ShardID(), link, eng.Now())
-}
-
-// FaultStep is one boundary of a link's piecewise-constant fault history:
-// the composed fault condition taking effect At that instant. Fault plans
-// (internal/fault) compile their windows into per-link FaultStep lists for
-// sharded fabrics.
-type FaultStep struct {
-	At units.Time
-	LF LinkFault
-}
-
-// faultAt walks shard sh's cursor for the link forward to t and returns
-// the active fault, or nil when healthy. Matches the serial semantics
-// exactly: a boundary at time B is applied before any same-instant
-// traffic, because the lookup happens from the traffic's own event at
-// t >= B.
-func (f *Fabric) faultAt(sh int, link topology.LinkID, t units.Time) *LinkFault {
-	tl := f.faultTimeline[link]
-	if len(tl) == 0 {
-		return nil
-	}
-	cur := &f.locals[sh].faultCursor[link]
-	for *cur+1 < len(tl) && tl[*cur+1].At <= t {
-		*cur++
-	}
-	if *cur < 0 || tl[*cur].At > t {
-		return nil
-	}
-	if lf := &tl[*cur].LF; lf.Active() {
-		return lf
+	if x := &f.faults[link]; x.Active() {
+		return x
 	}
 	return nil
-}
-
-// InstallFaultTimeline arms fault injection on a sharded fabric with a
-// precomputed per-link fault history: steps[link] lists, time-sorted, the
-// fault condition taking effect at each boundary. Each shard reads the
-// shared immutable timeline through a private cursor, so fault state needs
-// no cross-shard writes at all. To keep the dispatched-event count and the
-// FaultWindows accounting identical to the serial kernel (which schedules
-// one SetLinkFault event per boundary), one counted event per boundary is
-// scheduled on the link's owner shard. Must be called before the run.
-func (f *Fabric) InstallFaultTimeline(seed uint64, steps [][]FaultStep) {
-	if f.dom == nil {
-		panic("fabric: InstallFaultTimeline on a serial fabric")
-	}
-	f.EnableFaults(seed)
-	f.faultTimeline = steps
-	for i := range f.locals {
-		f.locals[i].faultCursor = make([]int, len(steps))
-		for j := range f.locals[i].faultCursor {
-			f.locals[i].faultCursor[j] = -1
-		}
-	}
-	for link := range steps {
-		eng := f.linkEng[link]
-		sh := eng.ShardID()
-		for _, st := range steps[link] {
-			active := st.LF.Active()
-			eng.At(st.At, func() {
-				if active {
-					f.locals[sh].faultWindows++
-				}
-			})
-		}
-	}
 }
 
 // chooseSpine picks the spine for one chunk of an adaptive fabric:
@@ -277,15 +187,12 @@ func (f *Fabric) InstallFaultTimeline(seed uint64, steps [][]FaultStep) {
 // reports whether any spine was skipped; if every spine is down the
 // original choice is returned un-skipped and the caller's down-link
 // handling stalls the chunk until one recovers.
-func (f *Fabric) chooseSpine(eng *sim.Engine, srcLeaf, dstLeaf int) (spine int, rerouted bool) {
+func (f *Fabric) chooseSpine(srcLeaf, dstLeaf int) (spine int, rerouted bool) {
 	if !f.faultsOn {
 		return f.leastLoadedSpine(srcLeaf), false
 	}
-	// eng is the uplink stage's engine — the only shard that serves this
-	// leaf's uplinks, so BusyUntil reads are owner-local; down-link Down
-	// state comes through this shard's own timeline cursor.
 	down := func(id topology.LinkID) bool {
-		lf := f.linkFault(eng, id)
+		lf := f.linkFault(id)
 		return lf != nil && lf.Down
 	}
 	best, bestAt := -1, units.Forever
@@ -310,30 +217,12 @@ func (f *Fabric) chooseSpine(eng *sim.Engine, srcLeaf, dstLeaf int) (spine int, 
 // fires once every chunk has drained. Chunks of the message already past
 // this hop (or behind it) continue to consume link time — the bytes were
 // on the wire — but deliver nothing.
-//
-// Under sharding the message's abort flag and remaining count are owned
-// by the destination shard, so a drop on any other shard retires the
-// chunk into the local pool and posts an uncounted abortRetire to the
-// owner one lookahead ahead — the earliest instant the loss could have
-// become visible there anyway, since the chunk had at least one more
-// serialization between it and the destination.
 func (f *Fabric) dropMessage(cs *chunkState) {
 	ms := cs.ms
-	eng := cs.eng
 	f.putChunk(cs)
-	if f.dom != nil && eng != ms.eng {
-		eng.PostUncounted(ms.eng, eng.Now().Add(f.dom.Lookahead()), func() { f.abortRetire(ms) })
-		return
-	}
-	f.abortRetire(ms)
-}
-
-// abortRetire marks ms aborted (counting the dropped message once) and
-// retires one chunk's share of it. Always runs on the shard owning ms.
-func (f *Fabric) abortRetire(ms *msgState) {
 	if !ms.aborted {
 		ms.aborted = true
-		f.locals[ms.shard].messagesDropped++
+		f.messagesDropped++
 		f.mMsgsDropped.Inc()
 	}
 	ms.chunkDelivered()

@@ -10,9 +10,7 @@ package fabric
 //
 //   - zero cost when disabled — every call site is behind a single
 //     `f.probe != nil` check and the default is nil;
-//   - serial-kernel only — callbacks run in event context on the fabric
-//     engine, and SetProbe refuses sharded fabrics (callbacks would fire
-//     concurrently from shard workers);
+//   - callbacks run in event context on the fabric engine;
 //   - behaviour-neutral — installing a probe pins the coalescing fast path
 //     off (a coalesced message never reports per-chunk events), which by the
 //     coalescing exactness contract (see coalesce.go) leaves every delivery
@@ -43,13 +41,10 @@ type Probe struct {
 }
 
 // SetProbe installs (or with nil removes) the fabric's invariant probe.
-// Probes are serial-kernel only, and installing one pins the coalescing fast
-// path off so every message runs the exact chunk-level model; delivery times
-// are identical either way. Call before the run starts.
+// Installing a probe pins the coalescing fast path off so every message runs
+// the exact chunk-level model; delivery times are identical either way. Call
+// before the run starts.
 func (f *Fabric) SetProbe(p *Probe) {
-	if f.dom != nil {
-		panic("fabric: probes are serial-only (like metrics registries)")
-	}
 	f.probe = p
 	if p != nil {
 		f.coalesce = false

@@ -109,24 +109,6 @@ func (p *Plan) Install(eng *sim.Engine, fab *fabric.Fabric) error {
 		byLink[e.Link] = append(byLink[e.Link], e)
 	}
 
-	if fab.Sharded() {
-		// A sharded fabric reads fault state from an immutable precomputed
-		// timeline instead of SetLinkFault events: the composed fault at
-		// each boundary is a pure function of the plan, so it is evaluated
-		// here, once, and every shard walks the shared history through a
-		// private cursor. The fabric schedules the per-boundary parity
-		// events itself.
-		steps := make([][]fabric.FaultStep, nLinks)
-		for link := 0; link < nLinks; link++ {
-			evs := byLink[link]
-			for _, b := range linkBounds(evs) {
-				steps[link] = append(steps[link], fabric.FaultStep{At: b, LF: compose(evs, b)})
-			}
-		}
-		fab.InstallFaultTimeline(p.Seed, steps)
-		return nil
-	}
-
 	fab.EnableFaults(p.Seed)
 	for link := 0; link < nLinks; link++ {
 		evs := byLink[link]

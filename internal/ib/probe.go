@@ -7,7 +7,7 @@ package ib
 // duplicates are absorbed rather than re-delivered.
 //
 // Same contract as fabric probes (see fabric/probe.go): zero cost when
-// disabled, serial-kernel only, and hooks live exclusively on the faulty
+// disabled, and hooks live exclusively on the faulty
 // branch of reliable() — the fault-free fast path (send().OnFire(deliver))
 // is untouched, so clean runs remain byte-identical with a probe installed.
 
@@ -41,12 +41,9 @@ type ReqID struct {
 }
 
 // SetDeliveryProbe installs (or with nil removes) the network's RC delivery
-// probe. Serial-kernel only; call before the run starts. The probe only
+// probe. Call before the run starts. The probe only
 // observes fabrics with fault injection enabled — on a clean fabric
 // reliable() takes the fast path and reports nothing.
 func (n *Network) SetDeliveryProbe(p *DeliveryProbe) {
-	if n.fab.Sharded() {
-		panic("ib: delivery probes are serial-only (like metrics registries)")
-	}
 	n.probe = p
 }

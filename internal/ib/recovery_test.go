@@ -177,52 +177,23 @@ func TestDuplicateDeliverySuppressed(t *testing.T) {
 	}
 }
 
-// shardedTestNet builds a 2-node fabric split over a 2-shard domain with
-// an IB network on it, fault injection armed via an (initially empty)
-// timeline, and the domain lookahead clamped to RecvProc exactly as the
-// platform does.
-func shardedTestNet(t *testing.T) (*sim.Sharded, *fabric.Fabric, *Network) {
-	t.Helper()
-	dom := sim.NewSharded(2)
-	fab, err := fabric.NewSharded(dom, 2, 96, fabric.Params{
-		LinkBandwidth:  1 * units.GBps,
-		WireLatency:    50 * units.Nanosecond,
-		ChassisLatency: 150 * units.Nanosecond,
-		MTU:            2 * units.KiB,
-		HostBandwidth:  900 * units.MBps,
-		HostLatency:    150 * units.Nanosecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hp := DefaultParams()
-	net := NewNetwork(dom.Shard(0), fab, hp)
-	if hp.RecvProc < dom.Lookahead() {
-		dom.SetLookahead(hp.RecvProc)
-	}
-	return dom, fab, net
-}
-
-// TestShardedWriteNoSpuriousRetransmits: with fault injection armed but no
-// fault active, a cross-shard RDMA write must complete without a single
-// timeout. This is the regression test for the kernel window-overrun bug:
-// a shard that was the only one holding events used to run unbounded,
-// firing its whole retransmission ladder before the destination shard had
-// even received the first chunk — the delivery notification then committed
-// into the requester's past and the QP deterministically exhausted its
-// retry budget on a perfectly healthy fabric.
-func TestShardedWriteNoSpuriousRetransmits(t *testing.T) {
-	dom, fab, net := shardedTestNet(t)
-	fab.InstallFaultTimeline(1, make([][]fabric.FaultStep, fab.Topology().NumLinks()))
+// TestFaultsArmedHealthyWriteNoRetransmits: with fault injection armed
+// but no fault active, an RDMA write completes without a single timeout —
+// the sent flag stands every armed timer down at delivery.
+func TestFaultsArmedHealthyWriteNoRetransmits(t *testing.T) {
+	eng := sim.NewEngine()
+	fab := testFabric(t, eng, 2)
+	net := NewNetwork(eng, fab, DefaultParams())
+	fab.EnableFaults(1)
 
 	delivered := false
 	net.HCA(0).SetHandler(func(d Delivery) { delivered = true })
-	fab.NodeEngine(1).Spawn("sender", func(p *sim.Proc) {
+	eng.Spawn("sender", func(p *sim.Proc) {
 		h := net.HCA(1)
 		h.ConnectNoCost(0)
 		p.Wait(h.RDMAWrite(p, 0, 4*units.KiB, nil))
 	})
-	if err := dom.Run(); err != nil {
+	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if !delivered {
@@ -230,50 +201,7 @@ func TestShardedWriteNoSpuriousRetransmits(t *testing.T) {
 	}
 	h := net.HCA(1)
 	if h.Retransmits != 0 || h.Timeouts != 0 {
-		t.Fatalf("clean sharded write hit recovery machinery: retransmits=%d timeouts=%d",
+		t.Fatalf("healthy write hit recovery machinery: retransmits=%d timeouts=%d",
 			h.Retransmits, h.Timeouts)
-	}
-}
-
-// TestShardedRetransmitRecoversOutage is TestRetransmitRecoversOutage on
-// the sharded kernel: a down window on the requester's injection link
-// blackholes the first attempt(s); the cross-shard drop retirement, the
-// timer ladder, and the eventual delivery notification must interoperate
-// so the write completes once the link recovers.
-func TestShardedRetransmitRecoversOutage(t *testing.T) {
-	dom, fab, net := shardedTestNet(t)
-	link := fab.Topology().Injection(0)
-	steps := make([][]fabric.FaultStep, fab.Topology().NumLinks())
-	up := units.Time(250 * units.Microsecond)
-	steps[link] = []fabric.FaultStep{
-		{At: 0, LF: fabric.LinkFault{Down: true}},
-		{At: up, LF: fabric.LinkFault{}},
-	}
-	fab.InstallFaultTimeline(1, steps)
-
-	delivered := false
-	net.HCA(1).SetHandler(func(d Delivery) { delivered = true })
-	var doneAt units.Time
-	fab.NodeEngine(0).Spawn("sender", func(p *sim.Proc) {
-		h := net.HCA(0)
-		h.ConnectNoCost(1)
-		p.Wait(h.RDMAWrite(p, 1, 8*units.KiB, nil))
-		doneAt = p.Now()
-	})
-	if err := dom.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !delivered {
-		t.Fatal("write never delivered after the outage lifted")
-	}
-	if doneAt < up {
-		t.Fatalf("completed at %v, before the link recovered at %v", doneAt, up)
-	}
-	h := net.HCA(0)
-	if h.Retransmits == 0 || h.Timeouts == 0 {
-		t.Fatalf("retransmits=%d timeouts=%d: recovery left no trace", h.Retransmits, h.Timeouts)
-	}
-	if h.Retransmits > uint64(DefaultParams().MaxRetries) {
-		t.Fatalf("retransmits = %d exceeded the budget yet the run succeeded", h.Retransmits)
 	}
 }

@@ -22,10 +22,6 @@ import (
 type Env struct {
 	Metrics *metrics.Registry
 	Faults  string
-	// Shards selects the parallel-kernel shard count for the machines the
-	// benchmark builds (see platform.Options.Shards); results are
-	// byte-identical at any value.
-	Shards int
 }
 
 // envOf unwraps the optional trailing environment.
@@ -61,7 +57,7 @@ func DefaultSizes() []units.Bytes {
 func PingPong(network platform.Network, sizes []units.Bytes, iters int, env ...Env) ([]PingPongPoint, error) {
 	e := envOf(env)
 	m, err := platform.New(platform.Options{Network: network, Ranks: 2, PPN: 1,
-		Metrics: e.Metrics, FaultSpec: e.Faults, Shards: e.Shards, Label: "pingpong " + network.Short()})
+		Metrics: e.Metrics, FaultSpec: e.Faults, Label: "pingpong " + network.Short()})
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +110,7 @@ type StreamingPoint struct {
 func Streaming(network platform.Network, sizes []units.Bytes, window, iters int, env ...Env) ([]StreamingPoint, error) {
 	e := envOf(env)
 	m, err := platform.New(platform.Options{Network: network, Ranks: 2, PPN: 1,
-		Metrics: e.Metrics, FaultSpec: e.Faults, Shards: e.Shards, Label: "streaming " + network.Short()})
+		Metrics: e.Metrics, FaultSpec: e.Faults, Label: "streaming " + network.Short()})
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +185,7 @@ func BEff(network platform.Network, ranks, itersPerSize int, seed uint64, env ..
 	}
 	e := envOf(env)
 	m, err := platform.New(platform.Options{Network: network, Ranks: ranks, PPN: 1,
-		Metrics: e.Metrics, FaultSpec: e.Faults, Shards: e.Shards, Label: fmt.Sprintf("beff%d %s", ranks, network.Short())})
+		Metrics: e.Metrics, FaultSpec: e.Faults, Label: fmt.Sprintf("beff%d %s", ranks, network.Short())})
 	if err != nil {
 		return nil, err
 	}

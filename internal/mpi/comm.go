@@ -184,8 +184,7 @@ type splitState struct {
 }
 
 // splitMu returns (creating if needed) the shared state of a split
-// instance. Callers must hold w.mu: under a sharded kernel the members of
-// a split may deposit entries from different shards concurrently.
+// instance. Callers must hold w.mu.
 func (w *World) splitMu(k splitKey) *splitState {
 	if w.splits == nil {
 		w.splits = map[splitKey]*splitState{}
@@ -199,10 +198,10 @@ func (w *World) splitMu(k splitKey) *splitState {
 }
 
 // ctxFor hands out a stable, unique even context id per (split instance,
-// color). The numeric value may depend on allocation order across shards,
-// but context ids participate only in matching equality — every member of
-// one new communicator gets the same id via the memoized map, and distinct
-// communicators get distinct ids, which is all matching observes.
+// color). Context ids participate only in matching equality — every
+// member of one new communicator gets the same id via the memoized map,
+// and distinct communicators get distinct ids, which is all matching
+// observes.
 func (w *World) ctxFor(k splitKey, color int) int {
 	w.mu.Lock()
 	defer w.mu.Unlock()

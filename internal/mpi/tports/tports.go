@@ -17,7 +17,6 @@ import (
 	"repro/internal/elan"
 	"repro/internal/match"
 	"repro/internal/mpi"
-	"repro/internal/sim"
 	"repro/internal/units"
 )
 
@@ -35,13 +34,6 @@ func (t *Transport) Name() string { return "elan" }
 
 // Network exposes the underlying Elan model (for statistics).
 func (t *Transport) Network() *elan.Network { return t.net }
-
-// NodeEngine implements mpi.ShardPlacer: the engine owning a node's NIC
-// and host state.
-func (t *Transport) NodeEngine(node int) *sim.Engine { return t.net.Fabric().NodeEngine(node) }
-
-// Domain implements mpi.ShardPlacer (nil for a serial fabric).
-func (t *Transport) Domain() *sim.Sharded { return t.net.Fabric().Domain() }
 
 // Attach implements mpi.Transport: create each rank's Tports context on its
 // node's NIC. Connectionless: nothing else to set up.

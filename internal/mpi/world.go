@@ -10,27 +10,15 @@ import (
 	"repro/internal/units"
 )
 
-// ShardPlacer is implemented by transports whose network model partitions
-// nodes over a sharded simulation domain. NewWorld uses it to place each
-// host node and each rank's process on the engine of the shard that owns
-// the node, and Run drives the whole domain instead of a single engine.
-// Domain returns nil when the underlying network is serial.
-type ShardPlacer interface {
-	NodeEngine(node int) *sim.Engine
-	Domain() *sim.Sharded
-}
-
 // World is one MPI job: ranks, their nodes, and a transport.
 type World struct {
 	eng       *sim.Engine
-	dom       *sim.Sharded // non-nil when the transport's network is sharded
 	cfg       Config
 	cluster   *host.Cluster
 	transport Transport
 	ranks     []*Rank
 
-	// Communicator-split machinery (see comm.go). mu serializes access
-	// from ranks on different shards.
+	// Communicator-split machinery (see comm.go), guarded by mu.
 	mu       sync.Mutex
 	splits   map[splitKey]*splitState
 	ctxAlloc map[ctxKey]int
@@ -51,30 +39,22 @@ func NewWorld(eng *sim.Engine, cfg Config, transport Transport) (*World, error) 
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	engOf := func(int) *sim.Engine { return eng }
-	var dom *sim.Sharded
-	if sp, ok := transport.(ShardPlacer); ok {
-		if dom = sp.Domain(); dom != nil {
-			engOf = sp.NodeEngine
-		}
-	}
-	cluster, err := host.NewClusterOn(engOf, cfg.NodesFor(), cfg.Node)
+	cluster, err := host.NewCluster(eng, cfg.NodesFor(), cfg.Node)
 	if err != nil {
 		return nil, err
 	}
-	w := &World{eng: eng, dom: dom, cfg: cfg, cluster: cluster, transport: transport}
+	w := &World{eng: eng, cfg: cfg, cluster: cluster, transport: transport}
 	w.track = eng.TraceTrack()
 	w.ranks = make([]*Rank, cfg.Ranks)
 	for i := range w.ranks {
 		node := i / cfg.PPN
-		re := engOf(node)
 		w.ranks[i] = &Rank{
 			world:    w,
 			id:       i,
-			eng:      re,
+			eng:      eng,
 			node:     cluster.Nodes[node],
 			slot:     i % cfg.PPN,
-			incoming: re.NewSignal(fmt.Sprintf("rank%d incoming", i)),
+			incoming: eng.NewSignal(fmt.Sprintf("rank%d incoming", i)),
 		}
 		w.ranks[i].shm.init()
 		if w.track != nil {
@@ -124,32 +104,16 @@ func (w *World) Run(app func(r *Rank)) (*Result, error) {
 	for _, r := range w.ranks {
 		r.launch(start, app, res)
 	}
-	var err error
-	if w.dom != nil {
-		err = w.dom.Run()
-	} else {
-		err = w.eng.Run()
-	}
-	if err != nil {
-		if w.dom != nil {
-			w.dom.Shutdown()
-		} else {
-			w.eng.Shutdown()
-		}
+	if err := w.eng.Run(); err != nil {
+		w.eng.Shutdown()
 		return nil, err
 	}
-	// Each rank wrote its own slot; the job span is their maximum. Computed
-	// here rather than inside the procs so no shared word is updated from
-	// concurrent shards.
+	// Each rank wrote its own slot; the job span is their maximum.
 	for _, d := range res.RankElapsed {
 		if d > res.Elapsed {
 			res.Elapsed = d
 		}
 	}
-	if w.dom != nil {
-		res.Events = w.dom.Events()
-	} else {
-		res.Events = w.eng.Events()
-	}
+	res.Events = w.eng.Events()
 	return res, nil
 }

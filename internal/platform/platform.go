@@ -105,7 +105,6 @@ const ElanRadix = 64
 type Machine struct {
 	Network Network
 	Eng     *sim.Engine
-	Dom     *sim.Sharded // non-nil when the kernel runs sharded
 	Fab     *fabric.Fabric
 	World   *mpi.World
 
@@ -143,17 +142,6 @@ type Options struct {
 	// injection disabled and the event stream untouched.
 	FaultSpec string
 
-	// Shards runs the simulation kernel on this many parallel shards with
-	// conservative lookahead (see sim.Sharded and fabric.NewSharded).
-	// Results are byte-identical at every value — this is an execution
-	// knob like the runner's Jobs, not part of an experiment's identity.
-	// Values are clamped to the node count, and the machine falls back to
-	// the serial kernel (shards=1) whenever a serial-only feature is
-	// requested: a metrics registry (racy under sharding), or the RGET
-	// read-rendezvous protocol variant (RDMA reads have no
-	// lookahead-respecting decomposition). 0 and 1 both mean serial.
-	Shards int
-
 	// Radix overrides the switch port count (0 keeps the platform default:
 	// IBRadix or ElanRadix). Shrinking the radix below the node count
 	// forces a 2-level Clos with few spines — the configuration
@@ -182,9 +170,8 @@ func New(opts Options) (*Machine, error) {
 	}
 	nodes := cfg.NodesFor()
 
-	// Resolve the network-specific parameter sets up front: the shard
-	// count depends on them (the RGET protocol variant forces the serial
-	// kernel), and none of them depend on the engine or fabric.
+	// Resolve the network-specific parameter sets up front; none of them
+	// depend on the engine or fabric.
 	var (
 		fp    fabric.Params
 		radix int
@@ -218,28 +205,7 @@ func New(opts Options) (*Machine, error) {
 		radix = opts.Radix
 	}
 
-	shards := opts.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	if opts.Metrics != nil {
-		shards = 1 // metrics registries and tracing are serial-only
-	}
-	if opts.Network == InfiniBand4X && tp.ReadRendezvous {
-		shards = 1 // RDMA reads cannot respect the lookahead contract
-	}
-	if shards > nodes {
-		shards = nodes
-	}
-
-	var dom *sim.Sharded
-	var eng *sim.Engine
-	if shards > 1 {
-		dom = sim.NewSharded(shards)
-		eng = dom.Shard(0)
-	} else {
-		eng = sim.NewEngine()
-	}
+	eng := sim.NewEngine()
 	if opts.Metrics != nil {
 		label := opts.Label
 		if label == "" {
@@ -248,13 +214,7 @@ func New(opts Options) (*Machine, error) {
 		eng.SetMetrics(opts.Metrics, label)
 	}
 
-	var fab *fabric.Fabric
-	var err error
-	if dom != nil {
-		fab, err = fabric.NewSharded(dom, nodes, radix, fp)
-	} else {
-		fab, err = fabric.New(eng, nodes, radix, fp)
-	}
+	fab, err := fabric.New(eng, nodes, radix, fp)
 	if err != nil {
 		return nil, err
 	}
@@ -265,16 +225,10 @@ func New(opts Options) (*Machine, error) {
 		return nil, err
 	}
 
-	m := &Machine{Network: opts.Network, Eng: eng, Dom: dom, Fab: fab}
+	m := &Machine{Network: opts.Network, Eng: eng, Fab: fab}
 	switch opts.Network {
 	case InfiniBand4X:
 		net := ib.NewNetwork(eng, fab, hp)
-		if dom != nil && hp.RecvProc < dom.Lookahead() {
-			// The HCA posts a requester-side completion one RecvProc serve
-			// ahead of the delivery handler (ib placeWrite); the domain
-			// lookahead must not exceed that lead.
-			dom.SetLookahead(hp.RecvProc)
-		}
 		m.IB = mvib.New(net, tp)
 		m.World, err = mpi.NewWorld(eng, cfg, m.IB)
 	case QuadricsElan4:

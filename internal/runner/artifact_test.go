@@ -93,3 +93,50 @@ func TestArtifactWriteRejectsAnonymous(t *testing.T) {
 		t.Fatal("artifact without an experiment id must not write")
 	}
 }
+
+// legacyShardsArtifact is an artifact as written by a build that still
+// had the parallel kernel: its meta records "shards": 4. The checksum
+// covers the payload, not Meta, so the retired field must not stop
+// existing results/ and server cache entries from loading.
+const legacyShardsArtifact = `{
+  "experiment": "fig5",
+  "title": "Sweep3D",
+  "meta": {
+    "quick": true,
+    "jobs": 2,
+    "shards": 4,
+    "seed": 1,
+    "wall_ms": 12.5
+  },
+  "tables": [
+    {
+      "title": "t",
+      "headers": [
+        "nodes",
+        "IB"
+      ],
+      "rows": [
+        [
+          "2",
+          "1.0"
+        ]
+      ]
+    }
+  ],
+  "checksum": "a7bab31488c0210f43c34ac4d9d09b9ce6c782e991d82b495c04c9eec37b968a"
+}
+`
+
+func TestReadArtifactAcceptsLegacyShardsMeta(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fig5.json")
+	if err := os.WriteFile(path, []byte(legacyShardsArtifact), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	a, err := ReadArtifact(path)
+	if err != nil {
+		t.Fatalf("legacy artifact with a shards meta field: %v", err)
+	}
+	if a.Experiment != "fig5" || a.Meta.Jobs != 2 || len(a.Tables) != 1 || a.Tables[0].Rows[0][1] != "1.0" {
+		t.Fatalf("legacy artifact decoded wrong: %+v", a)
+	}
+}

@@ -139,16 +139,6 @@ type Engine struct {
 	nEvents   uint64
 	maxEvents uint64
 
-	// Sharded-domain state (see shard.go). All nil/zero on a standalone
-	// engine, where the serial paths are completely unchanged.
-	dom        *Sharded
-	shardID    int
-	outbox     [][]postRec // pending cross-shard posts, indexed by dst shard
-	crossSeq   uint64      // per-source commit counter for cross seq keys
-	softErr    error       // Fail() under sharding: reported at the barrier
-	window     Time        // horizon for the current round (coordinator-set)
-	windowDone chan struct{}
-
 	// Observability (see internal/metrics). All fields stay nil by default:
 	// instrument methods on nil receivers are no-ops, so an engine without
 	// metrics runs the exact same event sequence at negligible extra cost.
@@ -333,15 +323,6 @@ func (e *Engine) Err() error { return e.err }
 // across runs and safe to record in artifacts.
 func (e *Engine) Fail(err error) {
 	if err == nil {
-		return
-	}
-	if e.dom != nil {
-		// Sharded mode: the failure is noted to the coordinator at the next
-		// barrier, which keeps the lexicographically earliest (time, shard)
-		// failure across the domain so the reported error is deterministic.
-		if e.softErr == nil {
-			e.softErr = err
-		}
 		return
 	}
 	if e.err == nil {

@@ -30,6 +30,25 @@ func TestEventOrdering(t *testing.T) {
 	}
 }
 
+// Zero-delay After at the current instant queues behind an At already
+// scheduled for that instant, and Events counts every dispatch exactly.
+func TestZeroDelayOrderAndEventCount(t *testing.T) {
+	e := NewEngine()
+	var log []string
+	e.At(0, func() { log = append(log, fmt.Sprintf("a@%v", e.Now())) })
+	e.After(0, func() { log = append(log, fmt.Sprintf("b@%v", e.Now())) })
+	e.At(units.Time(units.Nanosecond), func() { log = append(log, fmt.Sprintf("c@%v", e.Now())) })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(log, ","), "a@0ps,b@0ps,c@1ns"; got != want {
+		t.Fatalf("dispatch log = %s, want %s", got, want)
+	}
+	if e.Events() != 3 {
+		t.Fatalf("Events() = %d, want 3", e.Events())
+	}
+}
+
 func TestEventInPastClamped(t *testing.T) {
 	e := NewEngine()
 	var ran bool
