@@ -30,7 +30,6 @@ package fabric
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/metrics"
 	"repro/internal/rng"
@@ -372,20 +371,6 @@ func (f *Fabric) leastLoadedSpine(leaf int) int {
 // tests and A/B measurement; delivery times are identical either way.
 func (f *Fabric) SetCoalescing(on bool) { f.coalesce = on }
 
-// msgName renders a message signal's name (for deadlock reports) with a
-// single string allocation instead of fmt.Sprintf's boxing and buffers.
-func msgName(src, dst int, size units.Bytes) string {
-	var b [40]byte
-	s := append(b[:0], "msg "...)
-	s = strconv.AppendInt(s, int64(src), 10)
-	s = append(s, '-', '>')
-	s = strconv.AppendInt(s, int64(dst), 10)
-	s = append(s, ' ', '(')
-	s = strconv.AppendInt(s, int64(size), 10)
-	s = append(s, 'B', ')')
-	return string(s)
-}
-
 // msgState is the per-message bookkeeping, pooled on the fabric so Send
 // allocates no tracking state in steady flow.
 type msgState struct {
@@ -610,7 +595,7 @@ func (f *Fabric) Send(src, dst int, size units.Bytes) *sim.Signal {
 	f.bytes += size
 	f.mMsgs.Inc()
 	f.mBytes.Add(uint64(size))
-	done := f.eng.NewSignal(msgName(src, dst, size))
+	done := f.eng.NewSignalf("msg %d->%d (%dB)", src, dst, int(size))
 	if f.track != nil {
 		begin := f.eng.Now()
 		name := fmt.Sprintf("msg->%d %v", dst, size)

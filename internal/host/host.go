@@ -93,7 +93,7 @@ func NewNode(eng *sim.Engine, id int, params Params) (*Node, error) {
 		eng:       eng,
 		id:        id,
 		params:    params,
-		changed:   eng.NewSignal(fmt.Sprintf("node%d membership", id)),
+		changed:   eng.NewSignalf("node%d membership", id),
 		debt:      make([]units.Duration, params.CPUs),
 		busyTotal: make([]units.Duration, params.CPUs),
 	}
@@ -142,7 +142,7 @@ func (n *Node) slowdown(intensity float64) float64 {
 func (n *Node) membershipChanged() {
 	n.epoch++
 	old := n.changed
-	n.changed = n.eng.NewSignal(fmt.Sprintf("node%d membership", n.id))
+	n.changed = n.eng.NewSignalf("node%d membership", n.id)
 	old.Fire()
 }
 

@@ -284,3 +284,17 @@ func TestNoiseValidation(t *testing.T) {
 		t.Fatal("zero burst with noise should error")
 	}
 }
+
+// TestMembershipSignalName pins the name of the node's membership signal,
+// both as built and as replaced by a membership change.
+func TestMembershipSignalName(t *testing.T) {
+	n, err := NewNode(sim.NewEngine(), 5, params2())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := n.changed.Name()
+	n.membershipChanged()
+	if got, want := first+","+n.changed.Name(), "node5 membership,node5 membership"; got != want {
+		t.Fatalf("membership names = %q, want %q", got, want)
+	}
+}

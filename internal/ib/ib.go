@@ -411,7 +411,7 @@ func (h *HCA) RDMAWrite(p *sim.Proc, peer int, size units.Bytes, imm interface{}
 		// Doorbell + WQE PIO occupy the shared PCI-X bus.
 		bus.Serve(h.params.DoorbellBusTime)
 	}
-	done := h.eng.NewSignal(fmt.Sprintf("rdma %d->%d", h.node, peer))
+	done := h.eng.NewSignalf("rdma %d->%d", h.node, peer)
 	h.eng.After(h.params.DoorbellLatency, func() {
 		h.engine.ServeThen(h.params.ProcPerWQE, func() {
 			h.reliable("rdma-write", peer, h.node, peer, size,
@@ -458,7 +458,7 @@ func (h *HCA) RDMARead(p *sim.Proc, peer int, size units.Bytes, imm interface{})
 	if bus := h.fab.HostBus(h.node); bus != nil {
 		bus.Serve(h.params.DoorbellBusTime)
 	}
-	done := h.eng.NewSignal(fmt.Sprintf("rdma-read %d<-%d", h.node, peer))
+	done := h.eng.NewSignalf("rdma-read %d<-%d", h.node, peer)
 	h.eng.After(h.params.DoorbellLatency, func() {
 		h.engine.ServeThen(h.params.ProcPerWQE, func() {
 			// Read request travels to the peer (header-only), the peer's

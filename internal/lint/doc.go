@@ -16,9 +16,10 @@
 //  3. maprange — no map iteration feeding anything order-sensitive
 //     (output calls, channel sends, float accumulation, unsorted
 //     appends). Go randomizes map order per run by design.
-//  4. goroutine — no go statements outside the sim kernel's spawn site
-//     (internal/sim/proc.go). The engine serializes processes; raw
-//     goroutines reintroduce scheduler races.
+//  4. goroutine — no go statements in deterministic packages, the sim
+//     kernel included: simulated processes are coroutines the engine
+//     switches to one at a time. Raw goroutines reintroduce scheduler
+//     races.
 //  5. mathrand — no math/rand imports outside internal/rng; all
 //     randomness must come from seeded, replayable streams.
 //  6. errcheck — no silently discarded error results from this module's

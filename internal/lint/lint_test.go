@@ -20,8 +20,8 @@ type expectation struct {
 }
 
 // testConfig is the analyzer configuration used over testdata packages:
-// the sink subpackage plays fabric/metrics/report, sanctioned.go plays
-// internal/sim/proc.go, and the module prefix matches the testdata tree.
+// the sink subpackage plays fabric/metrics/report, and the module prefix
+// matches the testdata tree.
 // The v2 dataflow rules bind to conventional names (Node, Engine,
 // Result, Pool, unitsx, rngx, fabricx) under the same prefix.
 func testConfig(pkgPath string) Config {
@@ -29,7 +29,6 @@ func testConfig(pkgPath string) Config {
 		ModulePath:   pkgPath,
 		EmitPkgPaths: []string{pkgPath + "/sink"},
 		RandPkgPath:  pkgPath + "/rngx",
-		SpawnSites:   map[string]bool{pkgPath + ":sanctioned.go": true},
 
 		NodeStateTypes: []string{pkgPath + ".Node"},
 		LinkLayerPkgs:  []string{pkgPath + "/fabricx"},

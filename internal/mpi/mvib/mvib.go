@@ -22,8 +22,6 @@
 package mvib
 
 import (
-	"fmt"
-
 	"repro/internal/ib"
 	"repro/internal/match"
 	"repro/internal/metrics"
@@ -239,7 +237,7 @@ func (t *Transport) deliver(d ib.Delivery) {
 func (t *Transport) NetSend(r *mpi.Rank, dst, tag, ctx int, size units.Bytes, payload interface{}, key uint64) *mpi.Request {
 	st := t.states[r.ID()]
 	hca := t.net.HCA(r.NodeID())
-	req := mpi.NewRequest(r.Engine(), fmt.Sprintf("ib send %d->%d", r.ID(), dst), false)
+	req := mpi.NewRequestf(r.Engine(), false, "ib send %d->%d", r.ID(), dst)
 	env := match.Envelope{Src: r.ID(), Tag: tag, Ctx: ctx}
 
 	if size <= t.params.EagerThreshold {
@@ -293,7 +291,7 @@ func (t *Transport) takeOwed(st *rankState, dst int) int {
 // NetRecv implements mpi.Transport.
 func (t *Transport) NetRecv(r *mpi.Rank, src, tag, ctx int, key uint64) *mpi.Request {
 	st := t.states[r.ID()]
-	req := mpi.NewRequest(r.Engine(), fmt.Sprintf("ib recv %d<-%d", r.ID(), src), true)
+	req := mpi.NewRequestf(r.Engine(), true, "ib recv %d<-%d", r.ID(), src)
 	rs := &recvState{req: req, key: key}
 	// Drain anything already delivered, then post.
 	t.Progress(r)

@@ -71,7 +71,7 @@ func (r *Rank) Incoming() *sim.Signal { return r.incoming }
 // state. Safe from any simulation context.
 func (r *Rank) Kick() {
 	old := r.incoming
-	r.incoming = r.eng.NewSignal(fmt.Sprintf("rank%d incoming", r.id))
+	r.incoming = r.eng.NewSignalf("rank%d incoming", r.id)
 	old.Fire()
 }
 
@@ -340,7 +340,7 @@ type shmMsg struct {
 // destination rank, completing immediately (buffered semantics). The
 // receiver pays the copy-out when it matches.
 func (r *Rank) shmSend(dst, tag, ctx int, size units.Bytes, payload interface{}) *Request {
-	req := NewRequest(r.eng, fmt.Sprintf("shm send %d->%d", r.id, dst), false)
+	req := NewRequestf(r.eng, false, "shm send %d->%d", r.id, dst)
 	r.HostCopy(size)
 	msg := &shmMsg{env: match.Envelope{Src: r.id, Tag: tag, Ctx: ctx}, size: size, payload: payload}
 	peer := r.world.ranks[dst]
@@ -358,7 +358,7 @@ func (r *Rank) shmDeliver(msg *shmMsg) {
 
 // shmRecv posts an intra-node receive.
 func (r *Rank) shmRecv(src, tag, ctx int) *Request {
-	req := NewRequest(r.eng, fmt.Sprintf("shm recv %d<-%d", r.id, src), true)
+	req := NewRequestf(r.eng, true, "shm recv %d<-%d", r.id, src)
 	r.shmProgress() // drain anything already arrived before posting
 	env := match.Envelope{Src: src, Tag: tag, Ctx: ctx}
 	if data, found, _ := r.shm.engine.PostRecv(env, req); found {

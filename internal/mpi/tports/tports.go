@@ -12,8 +12,6 @@
 package tports
 
 import (
-	"fmt"
-
 	"repro/internal/elan"
 	"repro/internal/match"
 	"repro/internal/mpi"
@@ -47,7 +45,7 @@ func (t *Transport) Attach(w *mpi.World) {
 // NetSend implements mpi.Transport. The buffer key is ignored: the Elan MMU
 // needs no registration.
 func (t *Transport) NetSend(r *mpi.Rank, dst, tag, ctx int, size units.Bytes, payload interface{}, _ uint64) *mpi.Request {
-	req := mpi.NewRequest(r.Engine(), fmt.Sprintf("elan send %d->%d", r.ID(), dst), false)
+	req := mpi.NewRequestf(r.Engine(), false, "elan send %d->%d", r.ID(), dst)
 	env := match.Envelope{Src: r.ID(), Tag: tag, Ctx: ctx}
 	nic := t.net.NIC(r.NodeID())
 	txDone := nic.TxPost(r.Proc(), r.ID(), dst, env, size, payload)
@@ -59,7 +57,7 @@ func (t *Transport) NetSend(r *mpi.Rank, dst, tag, ctx int, size units.Bytes, pa
 
 // NetRecv implements mpi.Transport.
 func (t *Transport) NetRecv(r *mpi.Rank, src, tag, ctx int, _ uint64) *mpi.Request {
-	req := mpi.NewRequest(r.Engine(), fmt.Sprintf("elan recv %d<-%d", r.ID(), src), true)
+	req := mpi.NewRequestf(r.Engine(), true, "elan recv %d<-%d", r.ID(), src)
 	env := match.Envelope{Src: src, Tag: tag, Ctx: ctx}
 	if src == mpi.AnySource {
 		env.Src = match.AnySource

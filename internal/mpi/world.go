@@ -54,7 +54,7 @@ func NewWorld(eng *sim.Engine, cfg Config, transport Transport) (*World, error) 
 			eng:      eng,
 			node:     cluster.Nodes[node],
 			slot:     i % cfg.PPN,
-			incoming: eng.NewSignal(fmt.Sprintf("rank%d incoming", i)),
+			incoming: eng.NewSignalf("rank%d incoming", i),
 		}
 		w.ranks[i].shm.init()
 		if w.track != nil {

@@ -1,38 +1,56 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 )
 
-// Proc is a simulated process: a goroutine that can block on simulated time
+// Proc is a simulated process: a coroutine that can block on simulated time
 // and synchronization objects. All Proc methods must be called from the
 // process's own function (i.e., while it is the running process); the kernel
 // enforces this and panics otherwise, since violating it would break
 // determinism.
 type Proc struct {
-	eng    *Engine
-	id     int
-	name   string
-	resume chan struct{}
-	done   bool
-	killed bool
+	eng  *Engine
+	id   int
+	name string
+	// next resumes the process's coroutine until it parks or finishes;
+	// stop unwinds a parked (or never started) coroutine. yield, set
+	// once the coroutine starts, hands control back to the scheduler.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	done  bool
 	// Blocking reason for deadlock reports and trace spans, split in two
 	// so hot paths park without building a string: the rendered state is
-	// state+stateObj (e.g. "waiting on signal " + name), concatenated
-	// only when a report or span actually needs it.
+	// state plus the blocking object's name (e.g. "waiting on signal " +
+	// the signal's name), rendered only when a report or span needs it.
 	state    string
-	stateObj string
+	stateObj namer
 	// switchFn is the resume continuation, bound once at Spawn so waking
 	// the process schedules no fresh closure.
 	switchFn func()
 }
 
-// stateString renders the blocking reason (cold paths only).
-func (p *Proc) stateString() string { return p.state + p.stateObj }
+// namer is a blocking object (Signal, Queue) whose name a deadlock report
+// or trace span may render.
+type namer interface{ Name() string }
 
-// errKilled is the sentinel panic value used by Engine.Shutdown to unwind a
-// parked process goroutine.
+// stateString renders the blocking reason (cold paths only).
+func (p *Proc) stateString() string { return renderState(p.state, p.stateObj) }
+
+func renderState(state string, obj namer) string {
+	if obj == nil {
+		return state
+	}
+	return state + obj.Name()
+}
+
+// killedSentinel is the panic value park raises to unwind a process that
+// Engine.Shutdown stops while it is parked.
 type killedSentinel struct{}
 
 // Spawn creates a process and schedules its first execution at the current
@@ -40,11 +58,10 @@ type killedSentinel struct{}
 // is done. Panics inside fn abort the simulation with a recorded error.
 func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 	p := &Proc{
-		eng:    e,
-		id:     len(e.procs),
-		name:   name,
-		resume: make(chan struct{}),
-		state:  "spawned",
+		eng:   e,
+		id:    len(e.procs),
+		name:  name,
+		state: "spawned",
 	}
 	e.procs = append(e.procs, p)
 	p.switchFn = func() { e.switchTo(p) }
@@ -52,8 +69,8 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 	if e.track != nil {
 		e.track.SetThreadName(TidProc+int64(p.id), "blocked "+name)
 	}
-	go func() {
-		<-p.resume // wait for first dispatch
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			if r := recover(); r != nil {
 				if _, isKill := r.(killedSentinel); !isKill && e.err == nil {
@@ -62,14 +79,10 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 				}
 			}
 			p.done = true
-			p.state, p.stateObj = "done", ""
-			e.parked <- p // return control to the scheduler
+			p.state, p.stateObj = "done", nil
 		}()
-		if p.killed {
-			panic(killedSentinel{})
-		}
 		fn(p)
-	}()
+	})
 	e.After(0, p.switchFn)
 	return p
 }
@@ -84,12 +97,11 @@ func (e *Engine) switchTo(p *Proc) {
 		panic("sim: switchTo while a process is running")
 	}
 	e.running = p
-	p.state, p.stateObj = "running", ""
+	p.state, p.stateObj = "running", nil
 	if e.Trace != nil {
 		e.tracef("run %s", p.name)
 	}
-	p.resume <- struct{}{}
-	<-e.parked
+	p.next()
 	e.running = nil
 }
 
@@ -97,7 +109,7 @@ func (e *Engine) switchTo(p *Proc) {
 // state/obj pair documents what the process is waiting for; it is only
 // rendered to a string when a deadlock report, trace line, or timeline
 // span needs it, so parking itself allocates nothing.
-func (p *Proc) park(state, obj string) {
+func (p *Proc) park(state string, obj namer) {
 	p.checkRunning()
 	p.state, p.stateObj = state, obj
 	e := p.eng
@@ -105,15 +117,13 @@ func (p *Proc) park(state, obj string) {
 		e.tracef("park %s: %s", p.name, p.stateString())
 	}
 	blockedAt := e.now
-	e.parked <- p
-	<-p.resume
-	if p.killed {
+	if !p.yield(struct{}{}) {
 		panic(killedSentinel{})
 	}
 	if e.track != nil && e.now > blockedAt {
-		e.track.Span(TidProc+int64(p.id), state+obj, "block", blockedAt, e.now)
+		e.track.Span(TidProc+int64(p.id), renderState(state, obj), "block", blockedAt, e.now)
 	}
-	p.state, p.stateObj = "running", ""
+	p.state, p.stateObj = "running", nil
 }
 
 func (p *Proc) checkRunning() {
@@ -162,7 +172,7 @@ func (p *Proc) Sleep(d Duration) {
 	target := e.now.Add(d)
 	e.At(target, p.switchFn)
 	for e.now < target {
-		p.park("sleeping", "")
+		p.park("sleeping", nil)
 	}
 }
 
@@ -181,5 +191,5 @@ func (p *Proc) SleepUntil(t Time) {
 func (p *Proc) Yield() {
 	p.checkRunning()
 	p.wake()
-	p.park("yielding", "")
+	p.park("yielding", nil)
 }

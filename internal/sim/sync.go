@@ -1,14 +1,23 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Signal is a one-shot completion event. Processes can block on it, and
 // event-driven code can attach callbacks. Firing is idempotent-hostile:
 // firing twice is a model bug and panics.
 type Signal struct {
-	eng   *Engine
+	eng *Engine
+	// name is the signal's name, or with nargs > 0 the constant format
+	// that renders it from args (see NewSignalf). The operands pack into
+	// the padding after fired, keeping the struct in the 112-byte size
+	// class.
 	name  string
 	fired bool
+	nargs uint8
+	args  [3]int32
 	at    Time
 	// First waiter and first callback live in inline slots: most signals
 	// (one per fabric message, RDMA op, MPI request) see exactly one
@@ -25,6 +34,52 @@ func (e *Engine) NewSignal(name string) *Signal {
 	return &Signal{eng: e, name: name}
 }
 
+// NewSignalf creates a signal named fmt.Sprintf(format, ints...) without
+// formatting it: the constant format and up to three operands are stored,
+// and the name is rendered only when a cold path (a deadlock report, a
+// trace, the double-fire panic) asks for it. Hot paths that create a
+// signal per message use this instead of NewSignal(fmt.Sprintf(...)).
+// Operands that do not fit the packed form are formatted eagerly.
+func (e *Engine) NewSignalf(format string, ints ...int) *Signal {
+	s := &Signal{eng: e, name: format}
+	if len(ints) == 0 || len(ints) > len(s.args) {
+		s.name = sprintInts(format, ints)
+		return s
+	}
+	for i, v := range ints {
+		if v < math.MinInt32 || v > math.MaxInt32 {
+			s.name = sprintInts(format, ints)
+			return s
+		}
+		s.args[i] = int32(v)
+	}
+	s.nargs = uint8(len(ints))
+	return s
+}
+
+// sprintInts is fmt.Sprintf over int operands.
+func sprintInts(format string, ints []int) string {
+	args := make([]interface{}, len(ints))
+	for i, v := range ints {
+		args[i] = v
+	}
+	return fmt.Sprintf(format, args...)
+}
+
+// Name renders the signal's name. It formats on every call for signals
+// made by NewSignalf, so only cold paths should call it.
+func (s *Signal) Name() string {
+	switch s.nargs {
+	case 1:
+		return fmt.Sprintf(s.name, s.args[0])
+	case 2:
+		return fmt.Sprintf(s.name, s.args[0], s.args[1])
+	case 3:
+		return fmt.Sprintf(s.name, s.args[0], s.args[1], s.args[2])
+	}
+	return s.name
+}
+
 // Fired reports whether the signal has fired.
 func (s *Signal) Fired() bool { return s.fired }
 
@@ -35,7 +90,7 @@ func (s *Signal) FiredAt() Time { return s.at }
 // all callbacks at the current time. Safe from event or process context.
 func (s *Signal) Fire() {
 	if s.fired {
-		panic(fmt.Sprintf("sim: signal %q fired twice", s.name))
+		panic(fmt.Sprintf("sim: signal %q fired twice", s.Name()))
 	}
 	s.fired = true
 	s.at = s.eng.now
@@ -98,7 +153,7 @@ func (p *Proc) Wait(s *Signal) {
 	p.checkRunning()
 	for !s.fired {
 		s.addWaiter(p)
-		p.park("waiting on signal ", s.name)
+		p.park("waiting on signal ", s)
 	}
 }
 
@@ -128,7 +183,7 @@ func (p *Proc) WaitAny(sigs ...*Signal) int {
 		for _, s := range sigs {
 			s.addWaiter(p)
 		}
-		p.park("waiting on any of ", sigs[0].name)
+		p.park("waiting on any of ", sigs[0])
 	}
 }
 
@@ -145,6 +200,9 @@ type Queue struct {
 func (e *Engine) NewQueue(name string) *Queue {
 	return &Queue{eng: e, name: name}
 }
+
+// Name reports the queue's name.
+func (q *Queue) Name() string { return q.name }
 
 // Len reports the number of queued items.
 func (q *Queue) Len() int { return len(q.items) }
@@ -188,7 +246,7 @@ func (q *Queue) Pop(p *Proc) interface{} {
 		if !dup {
 			q.waiters = append(q.waiters, p)
 		}
-		p.park("popping queue ", q.name)
+		p.park("popping queue ", q)
 	}
 }
 
