@@ -34,10 +34,12 @@ lint-sarif:
 # byte-identical. The .txt tables must match exactly; the .json
 # artifacts embed per-run metadata by design (wall_ms, created_at, and —
 # on instrumented runs — sim_events / events_per_sec, which depend on
-# host speed and on whether the fabric fast path was pinned off; see
-# internal/runner artifacts), so those fields are filtered before
-# comparing. The scratch directory is removed on success and left in
-# place on failure for inspection. Full fidelity takes ~15 min on one
+# host speed and on how many events the fabric's coalescing fast path
+# saved; see internal/runner artifacts), plus the jobs execution knob
+# (results/ were written at -jobs 1, repro defaults to GOMAXPROCS, and
+# results are jobs-invariant, BC-10), so those fields are filtered
+# before comparing. The scratch directory is removed on success and left
+# in place on failure for inspection. Full fidelity takes ~15 min on one
 # core.
 fix-verify:
 	rm -rf .fix-verify-results
@@ -45,8 +47,8 @@ fix-verify:
 	diff -ru --exclude=README.md --exclude='*.json' results .fix-verify-results
 	@for f in results/*.json; do \
 		b=$$(basename $$f); \
-		diff <(grep -vE '"(wall_ms|created_at|sim_events|events_per_sec|checksum)"' $$f) \
-		     <(grep -vE '"(wall_ms|created_at|sim_events|events_per_sec|checksum)"' .fix-verify-results/$$b) \
+		diff <(grep -vE '"(wall_ms|created_at|sim_events|events_per_sec|checksum|jobs)"' $$f) \
+		     <(grep -vE '"(wall_ms|created_at|sim_events|events_per_sec|checksum|jobs)"' .fix-verify-results/$$b) \
 			|| { echo "fix-verify: $$b differs beyond per-run metadata"; exit 1; }; \
 	done
 	rm -rf .fix-verify-results
@@ -127,7 +129,7 @@ chaos:
 # (internal/campaign) over a fixed-seed batch of generated scenarios:
 # fault plans × topologies × workloads × protocol thresholds, each
 # checked against the per-scenario contracts of the BC catalog
-# (BC-1..BC-8), with violations auto-shrunk to minimal reproducers
+# (BC-1..BC-8 and BC-12), with violations auto-shrunk to minimal reproducers
 # written into corpus/. Deterministic: the same seed prints the same
 # report digest at any job count. Exits nonzero on any violation. ~1s at
 # the default size; raise CAMPAIGN_N for a deeper sweep.

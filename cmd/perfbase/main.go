@@ -3,14 +3,15 @@
 //
 // Each experiment is timed end-to-end in Quick mode (the same workload as
 // `go test -bench`), recording ns/op and allocs/op. Alongside the timing,
-// one instrumented run (with a metrics registry attached) captures the
-// experiment's reference event count — the number of simulation events the
-// fully-expanded chunk-level model dispatches. That count is a pure
-// measure of modelled work: it is independent of host speed and of the
-// fabric's coalescing fast path (a registry pins the expanded model, see
-// fabric.SetCoalescing), so events_per_sec = reference events / wall time
-// is comparable across machines and across optimizations that shrink the
-// dispatched-event stream without changing the modelled traffic.
+// one instrumented run (with a metrics registry attached) counts the
+// simulation events the experiment dispatches. A registry does not change
+// the execution path, so this is the event stream of the timed runs,
+// coalescing fast path included, and events_per_sec = dispatched events /
+// wall time is the kernel's real dispatch throughput. It is independent
+// of host speed but not of optimizations that shrink the dispatched
+// stream. BENCH_4.json and BENCH_9.json were recorded when a registry
+// selected the fabric's expanded model, so their sim_events count the
+// expanded stream and their events_per_sec are not dispatch rates.
 //
 // Baselines form a trajectory: each optimization PR records a new
 // BENCH_<n>.json next to the old ones, and compare mode diffs a fresh
@@ -75,9 +76,8 @@ func measure(id string) (Entry, error) {
 	if err != nil {
 		return Entry{}, err
 	}
-	// Reference work: one instrumented run. The registry both disables the
-	// coalescing fast path and counts every dispatched event, so this is
-	// the size of the experiment's fully-expanded event stream.
+	// One instrumented run counts the dispatched events; the registry
+	// leaves the execution path as in the timed runs below.
 	reg := metrics.New()
 	if _, err := e.Run(experiments.Options{Quick: true, Metrics: reg}); err != nil {
 		return Entry{}, err

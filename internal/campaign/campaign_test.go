@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -86,6 +87,38 @@ func TestCampaignCleanAndJobsInvariance(t *testing.T) {
 	}
 	if r1.Digest != r8.Digest {
 		t.Fatalf("BC-10 jobs-invariance: digest at jobs=1 (%.12s) != jobs=8 (%.12s)", r1.Digest, r8.Digest)
+	}
+}
+
+// TestObsDiff: BC-12's comparator reports every difference it is meant
+// to catch between the coalesced and expanded legs, and none between
+// equal legs.
+func TestObsDiff(t *testing.T) {
+	leg := func(edit func(*runOut)) runOut {
+		o := runOut{digest: "d", obs: &observation{
+			delivered: 3, deliveredBytes: 300, dropped: 1, droppedBytes: 10}}
+		if edit != nil {
+			edit(&o)
+		}
+		return o
+	}
+	a := leg(nil)
+	if d := obsDiff(a, leg(nil)); d != "" {
+		t.Fatalf("equal legs reported %q", d)
+	}
+	for _, c := range []struct {
+		name string
+		edit func(*runOut)
+	}{
+		{"failed", func(o *runOut) { o.runErr = fmt.Errorf("sim: event limit exceeded") }},
+		{"digest", func(o *runOut) { o.digest = "e" }},
+		{"delivered", func(o *runOut) { o.obs.deliveredBytes++ }},
+		{"dropped", func(o *runOut) { o.obs.dropped++ }},
+		{"contain", func(o *runOut) { o.obs.containViol = []string{"chunk lost on link 0"} }},
+	} {
+		if d := obsDiff(a, leg(c.edit)); d == "" {
+			t.Errorf("%s: difference not reported", c.name)
+		}
 	}
 }
 

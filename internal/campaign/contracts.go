@@ -35,6 +35,10 @@ package campaign
 //	BC-11 artifact-integrity corpus reproducers and runner artifacts are
 //	                        checksummed and verified on load (checked by
 //	                        TestCampaignCorpus and the runner tests)
+//	BC-12 coalesce-equiv    a completed run on the coalescing fast path
+//	                        and the same run on the fabric's expanded
+//	                        reference model have identical digests and
+//	                        probe observations
 
 // Contract is one catalog entry.
 type Contract struct {
@@ -56,6 +60,7 @@ var Catalog = []Contract{
 	{"BC-8", "determinism"},
 	{"BC-10", "jobs-invariance"},
 	{"BC-11", "artifact-integrity"},
+	{"BC-12", "coalesce-equiv"},
 }
 
 // contractName resolves an ID to its catalog name ("" if unknown).

@@ -5,7 +5,8 @@ package campaign
 // sequencer order), runs the workload under an event budget, and reduces
 // the run to a deterministic digest plus probe observations. check() then
 // runs the variant legs a scenario needs — twice for determinism, a clean
-// baseline for monotonicity — and evaluates every applicable behavioral
+// baseline for monotonicity, the fabric's expanded reference model for
+// coalescing equivalence — and evaluates every applicable behavioral
 // contract.
 
 import (
@@ -145,12 +146,15 @@ func appFor(sc *Scenario) func(*mpi.Rank) {
 // runLeg executes one probed leg. declared is the compiled
 // declared fault plan (nil for a clean scenario) that containment is
 // checked against — smuggled faults (the canary knob) are installed on
-// the machine but absent from declared, which is the point.
-func runLeg(sc *Scenario, effFaults string, declared *fault.Plan, budget uint64) runOut {
+// the machine but absent from declared, which is the point. coalesce
+// false runs the fabric's expanded reference model instead of the
+// coalescing fast path every other run takes.
+func runLeg(sc *Scenario, effFaults string, declared *fault.Plan, budget uint64, coalesce bool) runOut {
 	m, err := platform.New(buildOpts(sc, effFaults))
 	if err != nil {
 		return runOut{runErr: err, digest: digestErr(err)}
 	}
+	m.Fab.SetCoalescing(coalesce)
 	obs := &observation{}
 	m.Fab.SetProbe(&fabric.Probe{
 		ChunkLost: func(link topology.LinkID, at units.Time) {
@@ -216,6 +220,27 @@ func runLeg(sc *Scenario, effFaults string, declared *fault.Plan, budget uint64)
 	return out
 }
 
+// obsDiff describes the first difference between the coalesced leg a and
+// the expanded leg c in what BC-12 compares — digest, delivered/dropped
+// counts and bytes, containment violations — or returns "".
+func obsDiff(a, c runOut) string {
+	switch ao, co := a.obs, c.obs; {
+	case c.runErr != nil:
+		return fmt.Sprintf("expanded run failed: %v", c.runErr)
+	case a.digest != c.digest:
+		return fmt.Sprintf("digest %.12s != %.12s", a.digest, c.digest)
+	case ao.delivered != co.delivered || ao.deliveredBytes != co.deliveredBytes:
+		return fmt.Sprintf("delivered %d msgs/%d B != %d msgs/%d B",
+			ao.delivered, ao.deliveredBytes, co.delivered, co.deliveredBytes)
+	case ao.dropped != co.dropped || ao.droppedBytes != co.droppedBytes:
+		return fmt.Sprintf("dropped %d msgs/%d B != %d msgs/%d B",
+			ao.dropped, ao.droppedBytes, co.dropped, co.droppedBytes)
+	case strings.Join(ao.containViol, "; ") != strings.Join(co.containViol, "; "):
+		return fmt.Sprintf("containment violations %q != %q", ao.containViol, co.containViol)
+	}
+	return ""
+}
+
 // digestRun reduces a completed run to a canonical digest over its
 // observables: completion times, fabric accounting, fault
 // recovery counters. Event counts stay out (coalescing on/off changes
@@ -276,8 +301,8 @@ func check(sc Scenario, cfg *Config) ([]Violation, string, error) {
 		}
 	}
 
-	a := runLeg(&sc, effFaults, declared, budget)
-	b := runLeg(&sc, effFaults, declared, budget)
+	a := runLeg(&sc, effFaults, declared, budget, true)
+	b := runLeg(&sc, effFaults, declared, budget, true)
 
 	var v []Violation
 	// BC-1 progress: only fault-kill (IB retry exhaustion under a fault
@@ -297,7 +322,7 @@ func check(sc Scenario, cfg *Config) ([]Violation, string, error) {
 		if applies {
 			base := sc
 			base.Faults = ""
-			clean := runLeg(&base, cfg.Smuggle, nil, budget)
+			clean := runLeg(&base, cfg.Smuggle, nil, budget, true)
 			if clean.runErr == nil && a.elapsed < clean.elapsed {
 				v = append(v, violation("BC-2", sc, fmt.Sprintf(
 					"faulty run finished at %dps, before its clean baseline at %dps",
@@ -336,6 +361,16 @@ func check(sc Scenario, cfg *Config) ([]Violation, string, error) {
 	if a.digest != b.digest {
 		v = append(v, violation("BC-8", sc, fmt.Sprintf(
 			"two identical runs diverged: %.12s != %.12s", a.digest, b.digest)))
+	}
+	// BC-12 coalescing equivalence: the expanded reference model must
+	// reproduce the fast path's digest and probe observations. Failed runs
+	// are left to BC-8: their error texts carry event counts, which
+	// coalescing changes by design.
+	if a.runErr == nil {
+		c := runLeg(&sc, effFaults, declared, budget, false)
+		if d := obsDiff(a, c); d != "" {
+			v = append(v, violation("BC-12", sc, "coalesced and expanded runs diverged: "+d))
+		}
 	}
 	return v, a.digest, nil
 }

@@ -2,13 +2,17 @@ package experiments
 
 import (
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 // TestParallelDeterminism is the regression guard for the runner rewiring:
 // the rendered tables of a representative sweep experiment must be
 // byte-identical whether the sweep runs on one worker or eight. This holds
 // because every simulation owns a private event engine and RNG stream and
-// the runner assembles results in submission order.
+// the runner assembles results in submission order. A third run attaches
+// a metrics registry, which must not change the tables either: instruments
+// leave the fabric on the same coalesced execution path.
 //
 // Shared-state audit (done while writing this test): the only package-level
 // variables reachable from a simulation are immutable — platform.Networks,
@@ -37,6 +41,13 @@ func TestParallelDeterminism(t *testing.T) {
 			if s, p := serial.String(), parallel.String(); s != p {
 				t.Fatalf("jobs=1 and jobs=8 disagree:\n--- jobs=1 ---\n%s\n--- jobs=8 ---\n%s", s, p)
 			}
+			metered, err := e.Run(Options{Quick: true, Jobs: 8, Metrics: metrics.New()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s, m := serial.String(), metered.String(); s != m {
+				t.Fatalf("a metrics registry changed the tables:\n--- bare ---\n%s\n--- registry ---\n%s", s, m)
+			}
 		})
 	}
 }
@@ -44,9 +55,9 @@ func TestParallelDeterminism(t *testing.T) {
 // TestFaultDeterminism extends the parallel-determinism guard to faulty
 // runs: with a fault plan installed (the xfault experiment builds its own
 // specs; fig1b runs under an explicit loss plan), rendered tables must
-// still be byte-identical across worker counts — fault windows are sim
-// events and loss draws come from per-link streams, so nothing depends on
-// host scheduling.
+// still be byte-identical across worker counts and with a metrics registry
+// attached — fault windows are sim events and loss draws come from
+// per-link streams, so nothing depends on host scheduling.
 func TestFaultDeterminism(t *testing.T) {
 	cases := []struct {
 		id     string
@@ -76,6 +87,13 @@ func TestFaultDeterminism(t *testing.T) {
 			}
 			if s, p := serial.String(), parallel.String(); s != p {
 				t.Fatalf("jobs=1 and jobs=8 disagree under faults:\n--- jobs=1 ---\n%s\n--- jobs=8 ---\n%s", s, p)
+			}
+			metered, err := e.Run(Options{Quick: true, Jobs: 8, Faults: c.faults, Metrics: metrics.New()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s, m := serial.String(), metered.String(); s != m {
+				t.Fatalf("a metrics registry changed the tables under faults:\n--- bare ---\n%s\n--- registry ---\n%s", s, m)
 			}
 		})
 	}

@@ -37,16 +37,17 @@ package fabric
 // MinLatency evaluates the same recurrence chunk by chunk, and
 // TestCoalescingExact checks the equivalence fabric-wide.
 //
-// Eligibility. A window forms only when (1) coalescing is enabled and no
-// per-chunk instruments are live, (2) the path does not cross spines in
-// an adaptive fabric (per-chunk spine choice must observe true load),
-// (3) no other in-flight message uses any server of the path (in-flight
-// refcounts; the lazy chunk model's busy horizon cannot reveal traffic
-// that has not arrived yet), (4) every stage's busy horizon has cleared
-// by the time the message's first chunk arrives there, and (5) every
-// per-stage service time is strictly positive (so arrivals at later
-// stages are strictly ordered and the fold-at-expansion boundary is
-// unambiguous).
+// Eligibility. A window forms only when (1) coalescing is enabled and the
+// engine records no trace (see Send: a trace records spans in retirement
+// order, which same-picosecond ties can change), (2) the path does not
+// cross spines in an adaptive fabric (per-chunk spine choice must observe
+// true load), (3) no other in-flight message uses any server of the
+// path (in-flight refcounts; the lazy chunk model's busy horizon cannot
+// reveal traffic that has not arrived yet), (4) every stage's busy
+// horizon has cleared by the time the message's first chunk arrives
+// there, and (5) every per-stage service time is strictly positive (so
+// arrivals at later stages are strictly ordered and the
+// fold-at-expansion boundary is unambiguous).
 //
 // Exactness boundary. While a window is open the covered servers' busy
 // horizons lag the true schedule; every observer is intercepted — a new
@@ -55,12 +56,22 @@ package fabric
 // the host bus) expands it via the server's OnServe hook before the
 // newcomer's work is applied. On completion the summarized work is
 // folded in bulk, leaving busyUntil/busyTotal/served exactly as the
-// expanded model would have. The one residual ambiguity is event *order*
-// among same-picosecond events of unrelated messages (the coalesced run
-// assigns different sequence numbers than the expanded run); ties like
-// that do not arise in the calibrated experiments — `make fix-verify`
-// and the machine-level TestCoalescingExact confirm byte-identical
-// results — and the randomized storm tests bound the risk elsewhere.
+// expanded model would have. Instruments are settled the same way
+// (settle): at completion, and for the folded prefix at expansion, the
+// window records the per-link payload bytes and per-chunk queue waits
+// its chunks would have recorded, and completion reports the message's
+// retirement to the probe at the instant its last chunk would have
+// landed. So metrics snapshots (apart from the dispatched-event count)
+// and probe observations are the same on both paths, and attaching them
+// does not change which path runs. The one residual ambiguity is event
+// *order* among same-picosecond events of unrelated messages (the
+// coalesced run assigns different sequence numbers than the expanded
+// run). Such ties occur — LAMMPS at 8 ranks, 2 per node, retires
+// same-picosecond messages in a different order — and a trace records
+// that order, which is why a trace vetoes windows (eligibility 1). No
+// tie has changed a result: `make fix-verify`, the machine-level
+// TestCoalescingExactMachine and the randomized storm tests compare
+// times, accounting, metrics and probe observations across the two paths.
 
 import (
 	"repro/internal/topology"
@@ -163,10 +174,10 @@ func (w *window) overlaps(pt *path) bool {
 
 // tryCoalesce attempts to open a window for ms (n chunks, final chunk
 // size last). Caller has verified policy gates (coalescing enabled, no
-// instruments, not an adaptive spine crossing); this checks per-server
-// eligibility while evaluating the closed-form schedule, and on success
-// installs the window and its single delivery event. Refcounts for ms
-// are already held.
+// trace, not an adaptive spine crossing, no faulted link); this checks
+// per-server eligibility while evaluating the closed-form schedule, and
+// on success installs the window and its single delivery event.
+// Refcounts for ms are already held.
 func (f *Fabric) tryCoalesce(ms *msgState, n int, last units.Bytes) bool {
 	pt := &ms.pt
 	m := pt.n
@@ -274,15 +285,49 @@ func (w *window) complete() {
 			busy += units.Duration(w.n-1) * w.sFull[i]
 		}
 		srv.Absorb(w.cLast[i], busy, uint64(w.n))
+		w.settle(i, w.n-1, true)
 	}
 	f.removeWindow(w)
 	f.releaseRefs(pt)
 	done := ms.done
+	size := ms.size
 	ms.done = nil
 	ms.remaining = 0
 	f.freeMsgs = append(f.freeMsgs, ms)
 	f.putWindow(w)
+	f.probeRetired(size, false, f.eng.Now())
 	done.Fire()
+}
+
+// settle records at stage i what step would have recorded for the
+// window's first nf full chunks and, when lastIn, its final chunk: their
+// payload bytes on the link and one queue-wait sample each. A chunk waits
+// from its arrival until the previous chunk completes the stage, which
+// the closed form gives directly: full chunk k arrives at arrFull(k,i)
+// behind full chunk k-1's completion baseC[i]+(k-1)·B[i] (for k = 0 that
+// lies before the arrival, as eligibility (4) requires), and the final
+// chunk arrives at aLast[i] behind full chunk n-2. Host-bus stages carry
+// no per-link instruments, as in step.
+func (w *window) settle(i, nf int, lastIn bool) {
+	f := w.f
+	link := w.ms.pt.stages[i].link
+	if f.linkBytes == nil || link < 0 {
+		return
+	}
+	f.linkBytes[link] += units.Bytes(nf) * f.params.MTU
+	for k := 0; k < nf; k++ {
+		prev := w.baseC[i].Add(units.Duration(k-1) * w.bneck[i])
+		f.observeWait(prev.Sub(w.arrFull(k, i)))
+	}
+	if !lastIn {
+		return
+	}
+	f.linkBytes[link] += w.last
+	var wait units.Duration
+	if w.n > 1 {
+		wait = w.baseC[i].Add(units.Duration(w.n-2) * w.bneck[i]).Sub(w.aLast[i])
+	}
+	f.observeWait(wait)
 }
 
 // arrFull reports full chunk k's arrival time at stage i.
@@ -333,6 +378,7 @@ func (w *window) expand() {
 		if items == 0 {
 			continue
 		}
+		w.settle(i, nf, lastIn)
 		busy := units.Duration(nf) * w.sFull[i]
 		var horizon units.Time
 		if lastIn {

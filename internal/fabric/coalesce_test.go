@@ -1,8 +1,10 @@
 package fabric
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/units"
@@ -41,14 +43,42 @@ func elanTestParams() Params {
 }
 
 // stormOutcome captures everything observable about a storm run: each
-// message's delivery time (in injection order) and every server's final
-// accounting.
+// message's delivery time (in injection order), every server's final
+// accounting, the metrics snapshot of the registry attached to the
+// engine, and how many sends opened a window.
 type stormOutcome struct {
-	fired  []units.Time
-	final  units.Time
-	busy   []units.Time
-	total  []units.Duration
-	served []uint64
+	fired   []units.Time
+	final   units.Time
+	busy    []units.Time
+	total   []units.Duration
+	served  []uint64
+	snap    metrics.Snapshot
+	windows int
+	obs     []string // probe observations in callback order
+}
+
+// newInstrumentedEngine returns an engine with a metrics registry
+// attached, as repro -metrics and the simd server run.
+func newInstrumentedEngine() (*sim.Engine, *metrics.Registry) {
+	reg := metrics.New()
+	eng := sim.NewEngine()
+	eng.SetMetrics(reg, "storm")
+	return eng, reg
+}
+
+// finishInstruments flushes the fabric's end-of-run metrics into reg and
+// records the snapshot, minus the dispatched-event count (the one value
+// coalescing is meant to change).
+func finishInstruments(f *Fabric, reg *metrics.Registry, out *stormOutcome) {
+	f.FlushMetrics()
+	out.snap = reg.Snapshot()
+	cs := out.snap.Counters[:0:0]
+	for _, c := range out.snap.Counters {
+		if c.Name != "sim.events_dispatched" {
+			cs = append(cs, c)
+		}
+	}
+	out.snap.Counters = cs
 }
 
 // runStorm injects a randomized traffic pattern — bursts, chained
@@ -58,7 +88,7 @@ type stormOutcome struct {
 // flag are directly comparable.
 func runStorm(t *testing.T, params Params, radix, nodes int, seed uint64, coalesce bool) stormOutcome {
 	t.Helper()
-	eng := sim.NewEngine()
+	eng, reg := newInstrumentedEngine()
 	f, err := New(eng, nodes, radix, params)
 	if err != nil {
 		t.Fatal(err)
@@ -74,6 +104,13 @@ func runStorm(t *testing.T, params Params, radix, nodes int, seed uint64, coales
 	record := func(slot int, done *sim.Signal) {
 		done.OnFire(func() { out.fired[slot] = eng.Now() })
 	}
+	send := func(src, dst int, size units.Bytes) *sim.Signal {
+		done := f.Send(src, dst, size)
+		if n := len(f.windows); n > 0 && f.windows[n-1].ms.done == done {
+			out.windows++
+		}
+		return done
+	}
 	for i := 0; i < msgs; i++ {
 		src := r.Intn(nodes)
 		dst := r.Intn(nodes - 1)
@@ -86,11 +123,11 @@ func runStorm(t *testing.T, params Params, radix, nodes int, seed uint64, coales
 		chained := r.Intn(3) == 0
 		replySize := sizes[r.Intn(len(sizes))]
 		eng.At(at, func() {
-			done := f.Send(src, dst, size)
+			done := send(src, dst, size)
 			record(slot, done)
 			if chained {
 				done.OnFire(func() {
-					record(msgs+slot, f.Send(dst, src, replySize))
+					record(msgs+slot, send(dst, src, replySize))
 				})
 			}
 		})
@@ -130,13 +167,15 @@ func runStorm(t *testing.T, params Params, radix, nodes int, seed uint64, coales
 		out.total = append(out.total, srv.BusyTotal())
 		out.served = append(out.served, srv.Served())
 	}
+	finishInstruments(f, reg, &out)
 	return out
 }
 
 // TestCoalescingExact proves the tentpole equivalence claim: across
 // every experiment fabric configuration, randomized contending traffic
 // delivers at bit-identical times — and leaves bit-identical per-server
-// accounting — whether messages are coalesced or fully chunk-expanded.
+// accounting and metrics — whether messages are coalesced or fully
+// chunk-expanded.
 func TestCoalescingExact(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -166,8 +205,10 @@ func TestCoalescingExact(t *testing.T) {
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
+			windows := 0
 			for seed := uint64(1); seed <= 4; seed++ {
 				on := runStorm(t, c.params, c.radix, c.nodes, seed, true)
+				windows += on.windows
 				off := runStorm(t, c.params, c.radix, c.nodes, seed, false)
 				for i := range on.fired {
 					if on.fired[i] != off.fired[i] {
@@ -186,6 +227,13 @@ func TestCoalescingExact(t *testing.T) {
 							on.served[i], off.served[i])
 					}
 				}
+				if !reflect.DeepEqual(on.snap, off.snap) {
+					t.Fatalf("seed %d: metrics diverged\ncoalesced: %+v\nchunked:   %+v",
+						seed, on.snap, off.snap)
+				}
+			}
+			if windows == 0 {
+				t.Fatal("no send opened a window on the coalesced side")
 			}
 		})
 	}
@@ -221,23 +269,27 @@ func TestCoalescedMatchesMinLatency(t *testing.T) {
 	}
 }
 
-// TestCoalescingDisabledUnderMetrics pins the policy: a fabric built on
-// an engine with a registry must never open windows, so per-chunk
-// instruments see every chunk.
-func TestCoalescingDisabledUnderMetrics(t *testing.T) {
-	eng := sim.NewEngine()
+// TestCoalescingUnderInstruments pins the one-path policy: a fabric
+// whose engine carries a metrics registry and which has a probe installed
+// still opens a window for an uncontended message, and the window reports
+// the message's retirement to the probe.
+func TestCoalescingUnderInstruments(t *testing.T) {
+	eng, _ := newInstrumentedEngine()
 	f, err := New(eng, 2, 8, ibTestParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.coalesce {
-		t.Fatal("coalescing should default on without a registry")
+	var delivered units.Bytes
+	f.SetProbe(&Probe{MessageDelivered: func(size units.Bytes, _ units.Time) { delivered += size }})
+	done := f.Send(0, 1, 64*units.KiB)
+	if len(f.windows) != 1 {
+		t.Fatalf("%d windows open under a registry and probe, want 1", len(f.windows))
 	}
-	f.SetCoalescing(true)
-	f.linkBytes = make([]units.Bytes, f.clos.NumLinks()) // simulate live instruments
-	f.Send(0, 1, 64*units.KiB)
-	if len(f.windows) != 0 {
-		t.Fatal("window opened while per-chunk instruments are live")
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !done.Fired() || delivered != 64*units.KiB {
+		t.Fatalf("fired=%v, probe saw %v delivered, want 64KiB", done.Fired(), delivered)
 	}
 }
 

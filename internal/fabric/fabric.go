@@ -122,9 +122,10 @@ type Fabric struct {
 
 	// coalesce enables the idle-path fast path: an uncontended message
 	// is delivered by one analytically-scheduled event instead of
-	// per-chunk cut-through events (see tryCoalesce). Defaults to true
-	// exactly when no metrics registry is attached, so instrumented runs
-	// always execute the fully-expanded chunk model.
+	// per-chunk cut-through events (see tryCoalesce). Always true except
+	// when SetCoalescing selects the expanded reference model; windows
+	// settle the same metrics and probe observations the chunks would
+	// have recorded, so instruments never change the path taken.
 	coalesce bool
 	// In-flight message counts per server, keyed the same way stages
 	// are: fabric links by LinkID, host buses by node. A window may only
@@ -149,7 +150,6 @@ type Fabric struct {
 	faultSeed uint64
 
 	// probe, when non-nil, receives invariant observations (see probe.go).
-	// Installing one pins coalescing off.
 	probe *Probe
 
 	// Observability (nil-safe no-ops when the engine has no registry).
@@ -175,7 +175,7 @@ func New(eng *sim.Engine, nodes, radix int, params Params) (*Fabric, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Fabric{eng: eng, clos: clos, params: params}
+	f := &Fabric{eng: eng, clos: clos, params: params, coalesce: true}
 	f.links = make([]*sim.Server, clos.NumLinks())
 	for i := range f.links {
 		f.links[i] = eng.NewServer(fmt.Sprintf("link%d", i))
@@ -188,7 +188,6 @@ func New(eng *sim.Engine, nodes, radix int, params Params) (*Fabric, error) {
 		f.hostUsers = make([]int32, nodes)
 	}
 	f.linkUsers = make([]int32, clos.NumLinks())
-	f.coalesce = eng.Metrics() == nil
 	if reg := eng.Metrics(); reg != nil {
 		f.mMsgs = reg.Counter("fabric.messages")
 		f.mBytes = reg.Counter("fabric.bytes")
@@ -363,12 +362,11 @@ func (f *Fabric) leastLoadedSpine(leaf int) int {
 	return best
 }
 
-// SetCoalescing forces the idle-path coalescing fast path on or off,
-// overriding the default policy (enabled exactly when the engine has no
-// metrics registry). Forcing it on with a registry attached has no
-// effect: windows are refused whenever per-chunk instruments are live,
-// because a coalesced message records no per-chunk samples. Intended for
-// tests and A/B measurement; delivery times are identical either way.
+// SetCoalescing with false selects the fully-expanded chunk model, the
+// reference the coalescing fast path is checked against; true (the
+// default) restores the fast path. Delivery times, server accounting,
+// metrics (other than the dispatched-event count) and probe observations
+// are identical either way. Call before the run starts.
 func (f *Fabric) SetCoalescing(on bool) { f.coalesce = on }
 
 // msgState is the per-message bookkeeping, pooled on the fabric so Send
@@ -515,11 +513,7 @@ func (cs *chunkState) step() {
 	}
 	if f.linkBytes != nil && link >= 0 {
 		f.linkBytes[link] += cs.size
-		if wait := srv.BusyUntil().Sub(cs.ready); wait > 0 {
-			f.hWait.Observe(int64(wait / units.Nanosecond))
-		} else {
-			f.hWait.Observe(0)
-		}
+		f.observeWait(srv.BusyUntil().Sub(cs.ready))
 	}
 	ser := st.rate.TimeFor(cs.size + f.params.PacketOverhead)
 	lat := st.lat
@@ -558,6 +552,14 @@ func (cs *chunkState) step() {
 		return
 	}
 	f.eng.At(out, cs.deliverFn)
+}
+
+// observeWait records one chunk's link queueing delay, floored at zero.
+func (f *Fabric) observeWait(wait units.Duration) {
+	if wait < 0 {
+		wait = 0
+	}
+	f.hWait.Observe(int64(wait / units.Nanosecond))
 }
 
 // deliver retires the chunk at its final-delivery time.
@@ -619,8 +621,13 @@ func (f *Fabric) Send(src, dst int, size units.Bytes) *sim.Signal {
 	f.expandTouching(&ms.pt)
 	f.addRefs(&ms.pt)
 
-	if f.coalesce && f.linkBytes == nil && f.track == nil &&
-		(!f.params.Adaptive || ms.pt.upIdx < 0) &&
+	// A trace track vetoes windows: a window's completion event carries
+	// the sequence number of its Send, not of its last hop, so messages
+	// finishing in the same picosecond retire in a different order than in
+	// the expanded model, and the trace records spans in retirement order.
+	// Metric instruments are order-free (counts, sums, extrema), so a
+	// registry without tracing never vetoes.
+	if f.coalesce && f.track == nil && (!f.params.Adaptive || ms.pt.upIdx < 0) &&
 		!f.pathFaulted(&ms.pt) &&
 		f.tryCoalesce(ms, n, last) {
 		return done

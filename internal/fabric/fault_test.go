@@ -1,6 +1,8 @@
 package fabric
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/rng"
@@ -22,6 +24,7 @@ func elanFaultParams() Params {
 // the traffic runs, a seed-derived set of derate/loss/down windows is
 // scheduled onto random links through ordinary events. The schedule is a
 // pure function of seed, so coalesce on/off runs see identical faults.
+// A probe records every observation it receives into the outcome.
 func runFaultStorm(t *testing.T, params Params, radix, nodes int, seed uint64, coalesce bool) stormOutcome {
 	t.Helper()
 	eng := sim.NewEngine()
@@ -31,6 +34,16 @@ func runFaultStorm(t *testing.T, params Params, radix, nodes int, seed uint64, c
 	}
 	f.SetCoalescing(coalesce)
 	f.EnableFaults(seed)
+	var obs []string
+	note := func(kind string, v int64, at units.Time) {
+		obs = append(obs, fmt.Sprintf("%s %d @%d", kind, v, int64(at)))
+	}
+	f.SetProbe(&Probe{
+		ChunkLost:        func(l topology.LinkID, at units.Time) { note("lost", int64(l), at) },
+		ChunkStalled:     func(l topology.LinkID, at units.Time) { note("stalled", int64(l), at) },
+		MessageDelivered: func(size units.Bytes, at units.Time) { note("delivered", int64(size), at) },
+		MessageDropped:   func(size units.Bytes, at units.Time) { note("dropped", int64(size), at) },
+	})
 
 	fr := rng.New(seed ^ 0xfa171)
 	nLinks := f.clos.NumLinks()
@@ -103,14 +116,16 @@ func runFaultStorm(t *testing.T, params Params, radix, nodes int, seed uint64, c
 		out.total = append(out.total, srv.BusyTotal())
 		out.served = append(out.served, srv.Served())
 	}
+	out.obs = obs
 	return out
 }
 
 // TestFaultStormCoalescingExact extends the tentpole equivalence claim to
 // faulty fabrics: under randomized traffic AND a randomized fault schedule
-// (deratings, loss windows, down windows), delivery times and per-link
-// accounting must stay bit-identical whether or not coalescing is enabled.
-// Messages killed by the drop model must be killed identically in both.
+// (deratings, loss windows, down windows), delivery times, per-link
+// accounting and the probe's observation sequence must stay bit-identical
+// whether or not coalescing is enabled. Messages killed by the drop model
+// must be killed identically in both.
 func TestFaultStormCoalescingExact(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -143,6 +158,10 @@ func TestFaultStormCoalescingExact(t *testing.T) {
 						on.served[i] != off.served[i] {
 						t.Fatalf("seed %d server %d: accounting diverged", seed, i)
 					}
+				}
+				if !reflect.DeepEqual(on.obs, off.obs) {
+					t.Fatalf("seed %d: probe observations diverged\ncoalesced: %v\nchunked:   %v",
+						seed, on.obs, off.obs)
 				}
 			}
 		})

@@ -11,10 +11,10 @@ package fabric
 //   - zero cost when disabled — every call site is behind a single
 //     `f.probe != nil` check and the default is nil;
 //   - callbacks run in event context on the fabric engine;
-//   - behaviour-neutral — installing a probe pins the coalescing fast path
-//     off (a coalesced message never reports per-chunk events), which by the
-//     coalescing exactness contract (see coalesce.go) leaves every delivery
-//     time unchanged.
+//   - behaviour-neutral — installing a probe changes no execution path. A
+//     coalesced message reports its retirement when its window completes,
+//     the instant the chunk model would; losses and stalls happen only on
+//     faulted links, where no window is open (see coalesce.go).
 
 import (
 	"repro/internal/topology"
@@ -41,15 +41,8 @@ type Probe struct {
 }
 
 // SetProbe installs (or with nil removes) the fabric's invariant probe.
-// Installing a probe pins the coalescing fast path off so every message runs
-// the exact chunk-level model; delivery times are identical either way. Call
-// before the run starts.
-func (f *Fabric) SetProbe(p *Probe) {
-	f.probe = p
-	if p != nil {
-		f.coalesce = false
-	}
-}
+// Call before the run starts.
+func (f *Fabric) SetProbe(p *Probe) { f.probe = p }
 
 // probeLost reports one lost chunk to the probe, if any.
 func (f *Fabric) probeLost(link topology.LinkID, at units.Time) {

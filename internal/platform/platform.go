@@ -128,13 +128,6 @@ type Options struct {
 	// Label names the machine's timeline track (e.g. "pingpong IB").
 	Label string
 
-	// DisableCoalescing forces the fabric to run the fully-expanded
-	// chunk-level event model even without a metrics registry. Delivery
-	// times are identical either way (see fabric.SetCoalescing); this
-	// exists so equivalence tests and A/B measurements can pin the slow
-	// path explicitly.
-	DisableCoalescing bool
-
 	// FaultSpec, when non-empty, installs a fault plan on the machine's
 	// fabric (see internal/fault for the spec language). Faults are
 	// simulated-time events from a seeded plan, so a faulty run is exactly
@@ -217,9 +210,6 @@ func New(opts Options) (*Machine, error) {
 	fab, err := fabric.New(eng, nodes, radix, fp)
 	if err != nil {
 		return nil, err
-	}
-	if opts.DisableCoalescing {
-		fab.SetCoalescing(false)
 	}
 	if err := fault.InstallSpec(opts.FaultSpec, eng, fab); err != nil {
 		return nil, err
