@@ -15,17 +15,19 @@ vet:
 
 # lint runs the simlint suite — the syntactic checks (wallclock,
 # globalstate, maprange, goroutine, mathrand, errcheck) plus the SSA
-# dataflow rules (shardsafety, timetaint, rngprovenance, floatorder) and
-# stale-allow hygiene. Exits nonzero on any active finding; -stats
-# prints the per-rule tally, including suppressions, on stderr.
+# dataflow rules (timetaint, rngprovenance, floatorder) and stale-allow
+# hygiene. Exits nonzero on any active finding; -stats prints the
+# per-rule tally, including suppressions, on stderr.
 lint:
 	$(GO) run ./cmd/simlint -stats
 
 # lint-sarif emits the same findings as a SARIF 2.1.0 log (simlint.sarif)
 # for code-review tooling; suppressed findings are carried with their
-# allow-state rather than dropped.
+# allow-state rather than dropped. Active findings make simlint exit 1
+# after writing the full log, which this step tolerates; a run that
+# cannot load the tree writes nothing, and the empty log fails the step.
 lint-sarif:
-	$(GO) run ./cmd/simlint -format sarif > simlint.sarif || true
+	$(GO) run ./cmd/simlint -format sarif > simlint.sarif || test -s simlint.sarif
 	@echo "wrote simlint.sarif"
 
 # fix-verify regenerates every experiment's artifacts into a scratch

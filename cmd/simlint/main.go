@@ -5,7 +5,7 @@
 // Usage:
 //
 //	simlint [-C dir] [-run name[,name...]] [-list] [-stats]
-//	        [-format text|json|sarif] [-baseline file] [-write-baseline file]
+//	        [-format text|json|sarif]
 //
 // With no flags it locates the enclosing module root (walking up from
 // the working directory to go.mod) and runs every analyzer under the
@@ -15,10 +15,7 @@
 // -format json and -format sarif emit machine-readable findings on
 // stdout, including findings suppressed by //simlint:allow annotations
 // (with their allow-state); the text format and the exit code consider
-// only active findings. -baseline filters active findings through a
-// ratchet file written by -write-baseline: known findings stop gating,
-// new ones still fail, and baseline entries that no longer occur are
-// reported so the ratchet can be tightened. -stats prints per-rule
+// only active findings: every one of them gates. -stats prints per-rule
 // finding counts on stderr.
 package main
 
@@ -39,8 +36,6 @@ func main() {
 	run := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
 	list := flag.Bool("list", false, "list analyzers and exit")
 	format := flag.String("format", "text", "output format: text, json, or sarif")
-	baselinePath := flag.String("baseline", "", "ratchet file of accepted findings; only new findings gate")
-	writeBaseline := flag.String("write-baseline", "", "snapshot current active findings to a ratchet file and exit")
 	stats := flag.Bool("stats", false, "print per-rule finding counts on stderr")
 	flag.Parse()
 
@@ -75,54 +70,20 @@ func main() {
 		}
 	}
 
-	if *writeBaseline != "" {
-		b := lint.NewBaseline(lint.Active(diags))
-		data, err := b.Marshal()
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*writeBaseline, data, 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "simlint: wrote %d accepted finding(s) to %s\n", len(lint.Active(diags)), *writeBaseline)
-		return
-	}
-
-	// The baseline filters the gating set; suppressed findings never
-	// consume ratchet budget, and baselined indices feed the SARIF
-	// suppression records.
 	gating := lint.Active(diags)
-	covered := map[int]bool{}
-	if *baselinePath != "" {
-		data, err := os.ReadFile(*baselinePath)
-		if err != nil {
-			fatal(err)
-		}
-		b, err := lint.ParseBaseline(data)
-		if err != nil {
-			fatal(err)
-		}
-		var stale []lint.BaselineEntry
-		gating, covered, stale = b.Filter(diags)
-		for _, e := range stale {
-			fmt.Fprintf(os.Stderr, "simlint: baseline entry no longer occurs (remove it): %s %s: %s (count %d)\n",
-				e.Rule, e.File, e.Message, e.Count)
-		}
-	}
-
 	switch *format {
 	case "text":
 		for _, d := range gating {
 			fmt.Println(d)
 		}
 	case "json":
-		out, err := marshalJSON(diags, covered)
+		out, err := marshalJSON(diags)
 		if err != nil {
 			fatal(err)
 		}
 		os.Stdout.Write(out)
 	case "sarif":
-		out, err := lint.SARIF(diags, covered)
+		out, err := lint.SARIF(diags)
 		if err != nil {
 			fatal(err)
 		}
@@ -131,7 +92,7 @@ func main() {
 	}
 
 	if *stats {
-		printStats(diags, covered)
+		printStats(diags)
 	}
 	if len(gating) > 0 {
 		fmt.Fprintf(os.Stderr, "simlint: %d finding(s)\n", len(gating))
@@ -141,7 +102,7 @@ func main() {
 
 // marshalJSON renders the plain-JSON finding list: every finding with
 // its position and allow-state.
-func marshalJSON(diags []lint.Diagnostic, baselined map[int]bool) ([]byte, error) {
+func marshalJSON(diags []lint.Diagnostic) ([]byte, error) {
 	type finding struct {
 		Rule       string `json:"rule"`
 		File       string `json:"file"`
@@ -149,10 +110,9 @@ func marshalJSON(diags []lint.Diagnostic, baselined map[int]bool) ([]byte, error
 		Column     int    `json:"column"`
 		Message    string `json:"message"`
 		Suppressed bool   `json:"suppressed,omitempty"`
-		Baselined  bool   `json:"baselined,omitempty"`
 	}
 	out := make([]finding, 0, len(diags))
-	for i, d := range diags {
+	for _, d := range diags {
 		out = append(out, finding{
 			Rule:       d.Analyzer,
 			File:       d.Pos.Filename,
@@ -160,7 +120,6 @@ func marshalJSON(diags []lint.Diagnostic, baselined map[int]bool) ([]byte, error
 			Column:     d.Pos.Column,
 			Message:    d.Message,
 			Suppressed: d.Suppressed,
-			Baselined:  baselined[i],
 		})
 	}
 	data, err := json.MarshalIndent(out, "", "  ")
@@ -171,22 +130,19 @@ func marshalJSON(diags []lint.Diagnostic, baselined map[int]bool) ([]byte, error
 }
 
 // printStats prints per-rule counts on stderr: active findings first,
-// then the suppressed/baselined tallies that explain a quiet run.
-func printStats(diags []lint.Diagnostic, baselined map[int]bool) {
-	type tally struct{ active, suppressed, base int }
+// then the suppressed tally that explains a quiet run.
+func printStats(diags []lint.Diagnostic) {
+	type tally struct{ active, suppressed int }
 	byRule := map[string]*tally{}
-	for i, d := range diags {
+	for _, d := range diags {
 		tl := byRule[d.Analyzer]
 		if tl == nil {
 			tl = &tally{}
 			byRule[d.Analyzer] = tl
 		}
-		switch {
-		case d.Suppressed:
+		if d.Suppressed {
 			tl.suppressed++
-		case baselined[i]:
-			tl.base++
-		default:
+		} else {
 			tl.active++
 		}
 	}
@@ -200,9 +156,6 @@ func printStats(diags []lint.Diagnostic, baselined map[int]bool) {
 		line := fmt.Sprintf("simlint: %-14s %3d active", r, tl.active)
 		if tl.suppressed > 0 {
 			line += fmt.Sprintf(", %d allowed", tl.suppressed)
-		}
-		if tl.base > 0 {
-			line += fmt.Sprintf(", %d baselined", tl.base)
 		}
 		fmt.Fprintln(os.Stderr, line)
 	}

@@ -66,9 +66,9 @@ func (p *Plan) Spec() string {
 				bw = 1 // unset scale is a no-op; bw= is mandatory on degrade
 			}
 			fmt.Fprintf(&b, ":bw=%s", strconv.FormatFloat(bw, 'g', -1, 64))
-			if e.Fault.ExtraLatency != 0 {
-				fmt.Fprintf(&b, ":lat=%dps", int64(e.Fault.ExtraLatency))
-			}
+		}
+		if e.Fault.ExtraLatency != 0 {
+			fmt.Fprintf(&b, ":lat=%dps", int64(e.Fault.ExtraLatency))
 		}
 	}
 	return b.String()

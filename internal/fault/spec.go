@@ -32,6 +32,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -223,7 +224,7 @@ func (ps *parser) parseClause(clause string, num, base int) error {
 				return ps.errf(num, pOff, val, "",
 					"loss probability %q is not a number: want p in [0,1]", val)
 			}
-			if f < 0 || f > 1 {
+			if !(f >= 0 && f <= 1) { // NaN fails too
 				return ps.errf(num, pOff, val, "",
 					"loss probability %q not in [0,1]", val)
 			}
@@ -234,7 +235,7 @@ func (ps *parser) parseClause(clause string, num, base int) error {
 				return ps.errf(num, pOff, val, "",
 					"bandwidth scale %q is not a number: want bw in (0,1]", val)
 			}
-			if f <= 0 || f > 1 {
+			if !(f > 0 && f <= 1) { // NaN fails too
 				return ps.errf(num, pOff, val, "",
 					"bandwidth scale %q not in (0,1]", val)
 			}
@@ -463,7 +464,13 @@ func parseDur(s string) (units.Duration, error) {
 		if f < 0 {
 			return 0, fmt.Errorf("bad duration %q: negative durations are not allowed", s)
 		}
-		return units.Duration(f * float64(u.unit)), nil
+		// NaN, infinities and anything past the int64 picosecond range
+		// would convert to a garbage Duration.
+		ps := f * float64(u.unit)
+		if !(ps < math.MaxInt64) {
+			return 0, fmt.Errorf("bad duration %q: want a finite duration below %v", s, units.Duration(math.MaxInt64))
+		}
+		return units.Duration(ps), nil
 	}
 	return 0, fmt.Errorf("duration %q needs a unit (ps|ns|us|ms|s)", s)
 }

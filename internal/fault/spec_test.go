@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/topology"
 	"repro/internal/units"
 )
 
@@ -31,6 +32,10 @@ func TestParseErrorPositions(t *testing.T) {
 		{"down:all:at10us", 1, 10, "not key=value", `"at=10us"`},
 		{"down:all:att=10us", 1, 10, "unknown parameter", `"at"`},
 		{"down:spine(0):at=10us;down:all:for=-1us", 2, 32, "negative durations", ""},
+		{"loss:all:p=NaN", 1, 10, "not in [0,1]", ""},
+		{"degrade:all:bw=NaN", 1, 13, "not in (0,1]", ""},
+		{"down:all:at=NaNus", 1, 10, "want a finite duration", ""},
+		{"down:all:for=1e30s", 1, 10, "want a finite duration", ""},
 	}
 	for _, c := range cases {
 		t.Run(c.spec, func(t *testing.T) {
@@ -103,6 +108,20 @@ func TestSpecRoundtrip(t *testing.T) {
 			t.Fatalf("seed %d: roundtrip mismatch\nspec: %s\n got: %+v\nwant: %+v", seed, spec, p2, p)
 		}
 	}
+
+	// lat= adds latency whatever the clause kind, so the canonical
+	// rendering keeps it on loss and down clauses too.
+	p, err := Compile("loss:inj(0):p=0.5:lat=1us;down:ej(1):for=2us:lat=3ns", clos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := Compile(p.Spec(), clos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(p, p2) {
+		t.Fatalf("roundtrip dropped a fault\nspec: %s\n got: %+v\nwant: %+v", p.Spec(), p2, p)
+	}
 }
 
 func TestPlanIntrospection(t *testing.T) {
@@ -151,4 +170,53 @@ func TestPlanIntrospection(t *testing.T) {
 	if edge.Events[0].At == us(99) || edge.Seed == 77 {
 		t.Fatal("Clone must not share state with the original")
 	}
+}
+
+// FuzzCompile drives arbitrary strings through the spec grammar. An
+// accepted spec must canonicalize to a fixed point: its Spec() compiles
+// again and renders the same string. A rejected one must fail with a
+// *ParseError, and nothing may panic.
+func FuzzCompile(f *testing.F) {
+	for _, s := range []string{
+		"los:all:p=0.5",
+		"down:all;lose:all",
+		"down:all; loss:spin(0)",
+		"loss:all:p=1.5",
+		"loss:all:p=half",
+		"degrade:all:bw=1.5",
+		"down:all:at10us",
+		"down:all:att=10us",
+		"down:spine(0):at=10us;down:all:for=-1us",
+		"down:all:at=10us:until=15us",
+		"loss:all:until=5us:p=0.5",
+		"down:all:until=5us:at=10us",
+		"down:all:at=5us:until=5us",
+		"down:all:for=1us:until=5us",
+		"loss:inj(0):p=0.5:at=10us:for=5us;down:ej(3):for=1us",
+		"degrade:spine(0):bw=0.5",
+		"storm:7",
+	} {
+		f.Add(s)
+	}
+	clos, err := topology.NewClos(8, 4)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := Compile(spec, clos)
+		if err != nil {
+			if _, ok := err.(*ParseError); !ok {
+				t.Fatalf("Compile(%q) error %T is not a *ParseError: %v", spec, err, err)
+			}
+			return
+		}
+		canon := p.Spec()
+		p2, err := Compile(canon, clos)
+		if err != nil {
+			t.Fatalf("Compile(%q) accepted, but its Spec() %q does not compile: %v", spec, canon, err)
+		}
+		if again := p2.Spec(); again != canon {
+			t.Fatalf("Compile(%q): Spec() is not a fixed point\nfirst:  %s\nsecond: %s", spec, canon, again)
+		}
+	})
 }

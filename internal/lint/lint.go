@@ -101,14 +101,6 @@ type Config struct {
 	// the stream-derivation point.
 	RandPkgPath string
 
-	// NodeStateTypes are the fully qualified named types
-	// ("repro/internal/ib.HCA") that constitute per-node simulator state
-	// for shardsafety.
-	NodeStateTypes []string
-	// LinkLayerPkgs are the packages embodying the fabric link/message
-	// layer: the sanctioned channel for cross-node effects, exempt from
-	// shardsafety themselves.
-	LinkLayerPkgs []string
 	// TimeSinkCalls are sim-scheduling functions (types.Func.FullName
 	// form, e.g. "(*repro/internal/sim.Engine).At") that must never
 	// receive host-clock-derived values.
@@ -136,7 +128,7 @@ type Config struct {
 // DefaultConfig is the repository policy: internal/rng is the one
 // sanctioned math/rand importer, fabric/metrics/report the packages whose
 // calls count as output-emitting inside a map range, and the v2 dataflow
-// rules bound to the simulator's node, fabric, time, and runner types. No
+// rules bound to the simulator's time, report, and runner types. No
 // file is exempt from the goroutine rule: simulated processes are
 // coroutines, so the kernel has no go statement.
 func DefaultConfig() Config {
@@ -145,13 +137,6 @@ func DefaultConfig() Config {
 		EmitPkgPaths: []string{"repro/internal/fabric", "repro/internal/metrics", "repro/internal/report"},
 		RandPkgPath:  "repro/internal/rng",
 
-		NodeStateTypes: []string{
-			"repro/internal/ib.HCA",
-			"repro/internal/elan.NIC",
-			"repro/internal/host.Node",
-			"repro/internal/mpi.Rank",
-		},
-		LinkLayerPkgs: []string{"repro/internal/fabric"},
 		TimeSinkCalls: []string{
 			"(*repro/internal/sim.Engine).At",
 			"(*repro/internal/sim.Engine).After",
@@ -186,7 +171,6 @@ func DefaultAnalyzers() []*Analyzer {
 		GoroutineAnalyzer,
 		MathRandAnalyzer,
 		ErrcheckAnalyzer,
-		ShardSafetyAnalyzer,
 		TimeTaintAnalyzer,
 		RNGProvenanceAnalyzer,
 		FloatOrderAnalyzer,

@@ -22,16 +22,14 @@ type expectation struct {
 // testConfig is the analyzer configuration used over testdata packages:
 // the sink subpackage plays fabric/metrics/report, and the module prefix
 // matches the testdata tree.
-// The v2 dataflow rules bind to conventional names (Node, Engine,
-// Result, Pool, unitsx, rngx, fabricx) under the same prefix.
+// The v2 dataflow rules bind to conventional names (Engine, Result,
+// Pool, unitsx, rngx) under the same prefix.
 func testConfig(pkgPath string) Config {
 	return Config{
 		ModulePath:   pkgPath,
 		EmitPkgPaths: []string{pkgPath + "/sink"},
 		RandPkgPath:  pkgPath + "/rngx",
 
-		NodeStateTypes: []string{pkgPath + ".Node"},
-		LinkLayerPkgs:  []string{pkgPath + "/fabricx"},
 		TimeSinkCalls: []string{
 			"(*" + pkgPath + ".Engine).After",
 			"(*" + pkgPath + ".Engine).At",
@@ -119,30 +117,10 @@ func TestMapRange(t *testing.T)      { runTestdata(t, MapRangeAnalyzer, "maprang
 func TestGoroutine(t *testing.T)     { runTestdata(t, GoroutineAnalyzer, "goroutine") }
 func TestMathRand(t *testing.T)      { runTestdata(t, MathRandAnalyzer, "mathrand") }
 func TestErrcheck(t *testing.T)      { runTestdata(t, ErrcheckAnalyzer, "errcheck") }
-func TestShardSafety(t *testing.T)   { runTestdata(t, ShardSafetyAnalyzer, "shardsafety") }
 func TestTimeTaint(t *testing.T)     { runTestdata(t, TimeTaintAnalyzer, "timetaint") }
 func TestRNGProvenance(t *testing.T) { runTestdata(t, RNGProvenanceAnalyzer, "rngprovenance") }
 func TestFloatOrder(t *testing.T)    { runTestdata(t, FloatOrderAnalyzer, "floatorder") }
 func TestAllowGrammar(t *testing.T)  { runTestdata(t, WallclockAnalyzer, "allowgrammar") }
-
-// TestShardSafetyLinkLayerExempt checks the escape valve: the fabric
-// link layer package may write any node's state.
-func TestShardSafetyLinkLayerExempt(t *testing.T) {
-	dir, err := filepath.Abs(filepath.Join("testdata", "src", "shardsafety"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := NewLoader("unused.example/none", filepath.Join(dir, "no-such-module-root"))
-	l.Overlay = map[string]string{"shardsafety": dir}
-	pkg, err := l.Load("shardsafety/fabricx")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := Active(Run([]*Package{pkg}, []*Analyzer{ShardSafetyAnalyzer}, testConfig("shardsafety"), nil))
-	if len(diags) != 0 {
-		t.Errorf("link layer package still flagged: %v", diags)
-	}
-}
 
 // TestSuppressedRetained pins the v2 reporting contract: an allowed
 // finding is carried with Suppressed set rather than dropped, so
@@ -242,7 +220,7 @@ func TestPolicy(t *testing.T) {
 		return out
 	}
 	all := []string{"wallclock", "globalstate", "maprange", "goroutine", "mathrand", "errcheck",
-		"shardsafety", "timetaint", "rngprovenance", "floatorder", "staleallow"}
+		"timetaint", "rngprovenance", "floatorder", "staleallow"}
 	hygiene := []string{"mathrand", "errcheck", "staleallow"}
 	cases := []struct {
 		pkg  string

@@ -72,21 +72,12 @@ type sarifSuppression struct {
 	Justification string `json:"justification,omitempty"`
 }
 
-// SuppressionKind values for Diagnostic→SARIF conversion.
-const (
-	// SuppressedInSource marks a finding covered by an //simlint:allow
-	// annotation next to the code.
-	SuppressedInSource = "inSource"
-	// SuppressedExternal marks a finding accepted by the baseline
-	// ratchet file.
-	SuppressedExternal = "external"
-)
+// SuppressedInSource is the SARIF suppression kind of a finding covered
+// by an //simlint:allow annotation next to the code.
+const SuppressedInSource = "inSource"
 
-// SARIF renders diagnostics as a SARIF 2.1.0 log. baselined marks the
-// diagnostics (by index into diags) accepted by a ratchet file; they are
-// emitted with an "external" suppression. Pass nil when no baseline is
-// in play.
-func SARIF(diags []Diagnostic, baselined map[int]bool) ([]byte, error) {
+// SARIF renders diagnostics as a SARIF 2.1.0 log.
+func SARIF(diags []Diagnostic) ([]byte, error) {
 	ruleIndex := map[string]int{}
 	var rules []sarifRule
 	for _, a := range DefaultAnalyzers() {
@@ -94,7 +85,7 @@ func SARIF(diags []Diagnostic, baselined map[int]bool) ([]byte, error) {
 		rules = append(rules, sarifRule{ID: a.Name, ShortDescription: sarifText{Text: a.Doc}})
 	}
 	results := make([]sarifResult, 0, len(diags))
-	for i, d := range diags {
+	for _, d := range diags {
 		r := sarifResult{
 			RuleID:    d.Analyzer,
 			RuleIndex: ruleIndex[d.Analyzer],
@@ -105,13 +96,9 @@ func SARIF(diags []Diagnostic, baselined map[int]bool) ([]byte, error) {
 				Region:           sarifRegion{StartLine: d.Pos.Line, StartColumn: d.Pos.Column},
 			}}},
 		}
-		switch {
-		case d.Suppressed:
+		if d.Suppressed {
 			r.Level = "note"
 			r.Suppressions = []sarifSuppression{{Kind: SuppressedInSource, Justification: "//simlint:allow annotation"}}
-		case baselined != nil && baselined[i]:
-			r.Level = "note"
-			r.Suppressions = []sarifSuppression{{Kind: SuppressedExternal, Justification: "accepted by baseline"}}
 		}
 		results = append(results, r)
 	}

@@ -189,28 +189,6 @@ func (f *Func) Tree(visit func(*Func)) {
 	}
 }
 
-// Top returns the top-level function enclosing f (f itself if not a
-// literal).
-func (f *Func) Top() *Func {
-	for f.Parent != nil {
-		f = f.Parent
-	}
-	return f
-}
-
-// Root unwraps a FieldAddr/IndexAddr/Load path to its base value: the
-// Param, Cell, Global, Call, ... the path is rooted at.
-func Root(v *Value) *Value {
-	for {
-		switch v.Op {
-		case OpFieldAddr, OpIndexAddr, OpLoad, OpConvert:
-			v = v.Args[0]
-		default:
-			return v
-		}
-	}
-}
-
 // Leaves visits the transitive leaf operands of v through pure
 // (side-effect-free) ops: Bin, Un, Convert, FieldAddr, IndexAddr,
 // Extract, Composite. Loads, calls, phis, params, and constants are

@@ -16,30 +16,6 @@ type Taint struct {
 // Value reports whether v carries taint.
 func (t *Taint) Value(v *Value) bool { return t.vals[v] }
 
-// Object reports whether the variable's cell carries taint.
-func (t *Taint) Object(o types.Object) bool { return o != nil && t.objs[o] }
-
-// FieldTainted reports whether the struct field's cells carry taint.
-func (t *Taint) FieldTainted(f *types.Var) bool { return f != nil && t.fields[f] }
-
-// LoadedField returns the field a Load reads, if its address is a direct
-// field path, and nil otherwise.
-func LoadedField(v *Value) *types.Var {
-	if v.Op == OpLoad && len(v.Args) == 1 && v.Args[0].Op == OpFieldAddr {
-		return v.Args[0].Field
-	}
-	return nil
-}
-
-// StoredField returns the field a Store writes, if its address is a
-// direct field path, and nil otherwise.
-func StoredField(v *Value) *types.Var {
-	if v.Op == OpStore && len(v.Args) == 2 && v.Args[0].Op == OpFieldAddr {
-		return v.Args[0].Field
-	}
-	return nil
-}
-
 // PathKeys walks an address path to the directly addressed field (the
 // innermost FieldAddr, if any) and the root variable the path starts
 // from (nil when rooted at a call result or other anonymous value).
